@@ -15,8 +15,6 @@ from .bitstream import (
     dequantize,
     entropy_decode,
     entropy_encode,
-    export_latent_planes,
-    import_latent_planes,
     quantize,
     read_container,
     section_boundaries,
@@ -72,9 +70,7 @@ from .layers import (
 from .lightfield import (
     LightField,
     Manifest,
-    ViewImage,
     angular_offset,
-    extract_view,
     load_light_field,
     psnr,
     psnr_masked,

@@ -19,12 +19,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ContainerError, TruncatedSectionError, TruncatedStreamError
-from .pnm import read_pnm, write_pnm
 
 MAGIC = b"LFLC"
 VERSION = 1
@@ -43,10 +41,17 @@ _EOF_BIT_ALLOWANCE = 48  # legitimate decoder tail overshoot is < state width
 # quantizer
 
 
-def quantize(values, bits: int) -> np.ndarray:
-    """Uniform midrise quantization of [0,1] values to integer symbols."""
+def check_quant_bits(bits: int) -> None:
+    """Raise ValueError unless bits is a supported quantizer depth."""
     if not MIN_QUANT_BITS <= bits <= MAX_QUANT_BITS:
-        raise ValueError(f"quantizer bits must be in [{MIN_QUANT_BITS}, {MAX_QUANT_BITS}]")
+        raise ValueError(
+            f"quantizer bits must be in [{MIN_QUANT_BITS}, {MAX_QUANT_BITS}], got {bits}"
+        )
+
+
+def quantize(values, bits: int) -> np.ndarray:
+    """Uniform mid-tread quantization of [0,1] values to integer symbols."""
+    check_quant_bits(bits)
     values = np.asarray(values, dtype=np.float64)
     if values.size and (values.min() < 0.0 or values.max() > 1.0):
         raise ValueError("quantizer input must lie in [0, 1]")
@@ -55,8 +60,7 @@ def quantize(values, bits: int) -> np.ndarray:
 
 
 def dequantize(symbols, bits: int) -> np.ndarray:
-    if not MIN_QUANT_BITS <= bits <= MAX_QUANT_BITS:
-        raise ValueError(f"quantizer bits must be in [{MIN_QUANT_BITS}, {MAX_QUANT_BITS}]")
+    check_quant_bits(bits)
     symbols = np.asarray(symbols)
     if symbols.size and int(symbols.max()) >= (1 << bits):
         raise ValueError(f"symbol overflow for {bits}-bit quantizer")
@@ -365,6 +369,8 @@ def _parse_header(cursor: _Cursor) -> ContainerHeader:
     records = np.frombuffer(raw, dtype="<f8").reshape(total, channels, 2).copy()
     if layer_count < 1 or level_count < 1 or min(partition, default=0) < 1:
         raise ContainerError("degenerate layer or level structure")
+    if layer_bound != 1.0 / layer_count:
+        raise ContainerError(f"layer bound {layer_bound!r} is not 1/{layer_count}")
     if not MIN_QUANT_BITS <= quant_bits <= MAX_QUANT_BITS:
         raise ContainerError(f"quantizer bits {quant_bits} out of range")
     return ContainerHeader(
@@ -519,73 +525,3 @@ def bits_per_pixel(byte_count: int, angular_dims, spatial_dims) -> float:
     S, T = angular_dims
     W, H = spatial_dims
     return byte_count * 8.0 / (S * T * W * H)
-
-
-# ---------------------------------------------------------------------------
-# latent-plane export hook for external video codecs
-
-FRAME_ROWS = 64
-
-
-def export_latent_planes(codes: np.ndarray, path) -> list[Path]:
-    """Tile latent vectors into 8-bit PGM frames for an external encoder.
-
-    Rows are patches, columns latent dimensions. Frames hold FRAME_ROWS rows
-    each; the final frame is zero-padded to full height. Returns the written
-    frame paths (path_0000.pgm, path_0001.pgm, ...).
-    """
-    codes = np.asarray(codes, dtype=np.float64)
-    if codes.ndim != 2 or codes.size == 0:
-        raise ValueError(f"codes must be a non-empty (count, dim) array, got {codes.shape}")
-    if codes.min() < 0.0 or codes.max() > 1.0:
-        raise ValueError("latent codes must lie in [0, 1]")
-    count, dim = codes.shape
-    frames = -(-count // FRAME_ROWS)
-    padded = np.zeros((frames * FRAME_ROWS, dim), dtype=np.float64)
-    padded[:count] = codes
-    pixels = np.floor(padded * 255.0 + 0.5).astype(np.uint8)
-    base = Path(path)
-    written = []
-    for index in range(frames):
-        frame = pixels[index * FRAME_ROWS : (index + 1) * FRAME_ROWS]
-        target = base.with_name(f"{base.name}_{index:04d}.pgm")
-        write_pnm(target, frame)
-        written.append(target)
-    return written
-
-
-def import_latent_planes(path, count: int | None = None) -> np.ndarray:
-    """Read back exported latent frames; inverse of export_latent_planes.
-
-    With count given, padding rows are stripped; otherwise every row is
-    returned (zero padding included).
-    """
-    base = Path(path)
-    frames = sorted(base.parent.glob(f"{base.name}_*.pgm"))
-    if not frames:
-        raise ValueError(f"no latent frames matching {base.name}_*.pgm in {base.parent}")
-    rows = []
-    width = None
-    for frame in frames:
-        pixels = read_pnm(frame)
-        if pixels.ndim != 2 or pixels.dtype != np.uint8:
-            raise ValueError(f"{frame} is not an 8-bit grayscale frame")
-        if pixels.shape[0] != FRAME_ROWS:
-            raise ValueError(
-                f"{frame} has {pixels.shape[0]} rows, expected {FRAME_ROWS}"
-            )
-        if width is None:
-            width = pixels.shape[1]
-        elif pixels.shape[1] != width:
-            raise ValueError(
-                f"{frame} is {pixels.shape[1]} wide, other frames are {width}"
-            )
-        rows.append(pixels)
-    stacked = np.concatenate(rows, axis=0).astype(np.float64) / 255.0
-    if count is not None:
-        if count > stacked.shape[0]:
-            raise ValueError(
-                f"requested {count} rows but frames hold only {stacked.shape[0]}"
-            )
-        stacked = stacked[:count]
-    return stacked

@@ -189,13 +189,10 @@ def _cmd_train_dbn(args) -> int:
     _echo_config(config)
     tick = time.perf_counter()
     if args.from_views:
-        images = []
-        for t in range(lf.angular_dims[1]):
-            for s in range(lf.angular_dims[0]):
-                for chan in range(lf.channels):
-                    image = lf.samples[chan, t, s]
-                    lo, hi = float(image.min()), float(image.max())
-                    images.append((image - lo) / (hi - lo) if hi > lo else image * 0.0)
+        W, H = lf.spatial_dims
+        views = lf.samples.transpose(1, 2, 0, 3, 4).reshape(-1, H, W)
+        records = np.stack([views.min(axis=(1, 2)), views.max(axis=(1, 2))], axis=-1)
+        images = list(pipeline.unit_normalize(views, records))
     else:
         images = pipeline.training_images_from_light_field(lf, config)
     patches = pipeline.collect_training_patches(images, config.dbn)

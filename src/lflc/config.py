@@ -9,8 +9,9 @@ validated by the stage configs themselves before any computation starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
+from .bitstream import check_quant_bits
 from .dbn import DbnConfig
 from .errors import ConfigError
 from .layers import DEFAULT_DEPTHS, SolverConfig
@@ -49,8 +50,7 @@ class PipelineConfig:
             raise ValueError("need at least one layer depth")
         if any(b <= a for a, b in zip(depths, depths[1:])):
             raise ValueError(f"depths must be strictly increasing, got {depths}")
-        if not 2 <= self.quant_bits <= 16:
-            raise ValueError(f"quantizer bits must be in [2, 16], got {self.quant_bits}")
+        check_quant_bits(self.quant_bits)
         qualities = tuple(int(q) for q in self.qualities)
         object.__setattr__(self, "qualities", qualities)
         for qp in qualities:
@@ -158,10 +158,6 @@ def resolve_config(*entry_maps: dict[str, str]) -> PipelineConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def with_quality(config: PipelineConfig, qp: int) -> PipelineConfig:
-    return replace(config, quant_bits=quant_bits_for_qp(qp))
 
 
 def _format_value(value) -> str:

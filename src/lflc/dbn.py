@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError
+from .wbi import bit_vectors
 
 ENUMERATION_LIMIT = 20  # brute force walks 2^(n+m) states
 
@@ -93,21 +94,14 @@ def rbm_energy(params: RbmParams, v, h) -> float:
     return float(-h @ params.w @ v - params.b @ v - params.c @ h)
 
 
-def _enumerate_states(count: int) -> np.ndarray:
-    """All binary vectors of the given length, ordered by integer value."""
-    values = np.arange(1 << count, dtype=np.uint32)
-    shifts = np.arange(count - 1, -1, -1, dtype=np.uint32)
-    return ((values[:, None] >> shifts[None, :]) & 1).astype(np.float64)
-
-
 def _state_energies(params: RbmParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n, m = params.visible_units, params.hidden_units
     if n + m > ENUMERATION_LIMIT:
         raise ValueError(
             f"enumeration over {n}+{m} units exceeds the {ENUMERATION_LIMIT} limit"
         )
-    vs = _enumerate_states(n)
-    hs = _enumerate_states(m)
+    vs = bit_vectors(n)
+    hs = bit_vectors(m)
     # energies[a, b] = E(vs[a], hs[b])
     energies = -(vs @ params.w.T @ hs.T) - (vs @ params.b)[:, None] - (hs @ params.c)[None, :]
     return vs, hs, energies
@@ -220,15 +214,6 @@ def cd_update(
     vel_c = momentum * state.vel_c + lr * grad_c
     updated = RbmParams(w=params.w + vel_w, b=params.b + vel_b, c=params.c + vel_c)
     return updated, CdState(vel_w=vel_w, vel_b=vel_b, vel_c=vel_c)
-
-
-def reconstruction_cross_entropy(params: RbmParams, batch: np.ndarray) -> float:
-    """Mean-field reconstruction cross-entropy, the pretraining progress gauge."""
-    batch = np.asarray(batch, dtype=np.float64)
-    ph = hidden_probabilities(params, batch)
-    pv = np.clip(visible_probabilities(params, ph), 1e-12, 1.0 - 1e-12)
-    ce = -(batch * np.log(pv) + (1.0 - batch) * np.log(1.0 - pv))
-    return float(ce.sum(axis=1).mean())
 
 
 @dataclass(frozen=True)
@@ -477,31 +462,12 @@ class PatchDataset:
     """Flattened patches plus what it takes to undo the slicing."""
 
     vectors: np.ndarray  # (count, p*p) in [0,1]
-    records: np.ndarray  # (count, 2) per-patch (min, max) before normalization
     patch: int
     layout: tuple[int, int, int, int] | None  # (H, W, rows, cols); None in training mode
-    normalized: bool = False
 
     @property
     def count(self) -> int:
         return self.vectors.shape[0]
-
-
-def _normalize_rows(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    lo = vectors.min(axis=1)
-    hi = vectors.max(axis=1)
-    span = hi - lo
-    flat = span <= 0
-    safe = np.where(flat, 1.0, span)
-    normalized = (vectors - lo[:, None]) / safe[:, None]
-    normalized[flat] = 0.0
-    return normalized, np.stack([lo, hi], axis=1)
-
-
-def denormalize_rows(vectors: np.ndarray, records: np.ndarray) -> np.ndarray:
-    lo = records[:, 0][:, None]
-    hi = records[:, 1][:, None]
-    return vectors * (hi - lo) + lo
 
 
 def patchify(
@@ -510,7 +476,6 @@ def patchify(
     stride: int | None = None,
     mode: str = "coding",
     variance_threshold: float = 1e-4,
-    normalize: bool = False,
 ) -> PatchDataset:
     """Cut an image into p*p patch vectors.
 
@@ -554,38 +519,23 @@ def patchify(
         layout = (H, W, grid_rows, grid_cols)
     else:
         raise ValueError(f"mode must be 'training' or 'coding', got {mode!r}")
-    if vectors.size:
-        records = np.stack([vectors.min(axis=1), vectors.max(axis=1)], axis=1)
-    else:
-        records = np.empty((0, 2), dtype=np.float64)
-    if normalize and vectors.size:
-        vectors, records = _normalize_rows(vectors)
     return PatchDataset(
-        vectors=np.ascontiguousarray(vectors),
-        records=records,
-        patch=p,
-        layout=layout,
-        normalized=normalize,
+        vectors=np.ascontiguousarray(vectors), patch=p, layout=layout
     )
 
 
-def depatchify(patches: PatchDataset, layout=None) -> np.ndarray:
-    """Reassemble a coding-mode dataset into the original image."""
-    layout = layout if layout is not None else patches.layout
+def depatchify(vectors: np.ndarray, patch: int, layout) -> np.ndarray:
+    """Reassemble coding-mode patch vectors into the original image."""
     if layout is None:
         raise ValueError("depatchify needs a coding-mode layout")
     H, W, grid_rows, grid_cols = layout
-    p = patches.patch
-    vectors = patches.vectors
-    if patches.normalized:
-        vectors = denormalize_rows(vectors, patches.records)
-    if vectors.shape != (grid_rows * grid_cols, p * p):
+    if vectors.shape != (grid_rows * grid_cols, patch * patch):
         raise ValueError(
-            f"expected {grid_rows * grid_cols} patches of {p * p} values, "
+            f"expected {grid_rows * grid_cols} patches of {patch * patch} values, "
             f"got {vectors.shape}"
         )
-    tiles = vectors.reshape(grid_rows, grid_cols, p, p).transpose(0, 2, 1, 3)
-    return tiles.reshape(grid_rows * p, grid_cols * p)[:H, :W].copy()
+    tiles = vectors.reshape(grid_rows, grid_cols, patch, patch).transpose(0, 2, 1, 3)
+    return tiles.reshape(grid_rows * patch, grid_cols * patch)[:H, :W].copy()
 
 
 MODEL_MAGIC = b"DBN1"

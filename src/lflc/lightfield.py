@@ -1,4 +1,4 @@
-"""Light-field data model, manifest I/O, view extraction, and PSNR.
+"""Light-field data model, manifest I/O, and PSNR.
 
 A light field is stored as a dense float64 tensor indexed (c, t, s, v, u):
 channel, vertical angular index, horizontal angular index, row, column.
@@ -29,36 +29,6 @@ def angular_offset(s: int, size: int) -> int:
     return s - size // 2
 
 
-def _check_unit_samples(samples: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(samples)):
-        raise ValueError(f"{what} contains non-finite samples")
-    if samples.size and (samples.min() < 0.0 or samples.max() > 1.0):
-        raise ValueError(f"{what} samples must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class ViewImage:
-    """One sub-aperture view: float64 samples in [0, 1], shape (C, H, W)."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        samples = np.ascontiguousarray(np.asarray(self.samples, dtype=np.float64))
-        if samples.ndim != 3:
-            raise ValueError(f"view samples must be (C, H, W), got {samples.shape}")
-        _check_unit_samples(samples, "view")
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def channels(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def spatial_dims(self) -> tuple[int, int]:
-        """(W, H) pixel dimensions."""
-        return self.samples.shape[2], self.samples.shape[1]
-
-
 @dataclass(frozen=True)
 class LightField:
     """Dense 4-D light field, samples indexed (c, t, s, v, u) in [0, 1]."""
@@ -75,7 +45,10 @@ class LightField:
             raise ValueError(f"channel count must be 1 or 3, got {samples.shape[0]}")
         if min(samples.shape[1:]) < 1:
             raise ValueError(f"degenerate light-field shape {samples.shape}")
-        _check_unit_samples(samples, "light field")
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("light field contains non-finite samples")
+        if samples.min() < 0.0 or samples.max() > 1.0:
+            raise ValueError("light field samples must lie in [0, 1]")
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -91,21 +64,6 @@ class LightField:
     def spatial_dims(self) -> tuple[int, int]:
         """(W, H) per-view pixel dimensions."""
         return self.samples.shape[4], self.samples.shape[3]
-
-    def view_stack(self) -> np.ndarray:
-        """All views as one (S*T, C, H, W) array, row-major (t outer)."""
-        c, t, s, h, w = self.samples.shape
-        return np.ascontiguousarray(
-            self.samples.transpose(1, 2, 0, 3, 4).reshape(t * s, c, h, w)
-        )
-
-
-def extract_view(lf: LightField, s: int, t: int) -> ViewImage:
-    """Return an independent copy of the view at grid position (s, t)."""
-    S, T = lf.angular_dims
-    if not (0 <= s < S and 0 <= t < T):
-        raise IndexError(f"view ({s}, {t}) out of range for grid {S}x{T}")
-    return ViewImage(lf.samples[:, t, s].copy())
 
 
 @dataclass(frozen=True)
@@ -224,13 +182,13 @@ def save_light_field(
 
 
 def _as_samples(x) -> np.ndarray:
-    return x.samples if isinstance(x, (LightField, ViewImage)) else np.asarray(x)
+    return x.samples if isinstance(x, LightField) else np.asarray(x)
 
 
 def psnr(a, b, peak: float = 1.0) -> float:
     """Peak signal-to-noise ratio in dB; +inf when the inputs are identical.
 
-    Accepts LightField, ViewImage, or plain arrays of identical shape. The
+    Accepts LightField or plain arrays of identical shape. The
     mean squared error averages over every sample including channels.
     """
     xa, xb = _as_samples(a), _as_samples(b)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bitstream import bits_per_pixel
 from .lightfield import LightField, psnr_masked
 
 DEFAULT_QP_GRID = (2, 6, 10, 14, 18, 22, 26, 28, 32, 36, 40, 44, 48)
@@ -128,9 +129,7 @@ def rd_sweep(
 
 
 def bits_per_pixel_of(container: bytes, lf: LightField) -> float:
-    S, T = lf.angular_dims
-    W, H = lf.spatial_dims
-    return len(container) * 8.0 / (S * T * W * H)
+    return bits_per_pixel(len(container), lf.angular_dims, lf.spatial_dims)
 
 
 def sweep_csv(rows) -> str:

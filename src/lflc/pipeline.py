@@ -33,6 +33,7 @@ __all__ = [
     "training_images_from_light_field",
     "collect_training_patches",
     "model_layout",
+    "unit_normalize",
 ]
 
 
@@ -42,7 +43,6 @@ class EncodeResult:
     header: bitstream.ContainerHeader
     layers: LayerStack
     wbi_code: wbi.WbiCode
-    solver_history: tuple[float, ...]
     timings: dict[str, float]
 
     @property
@@ -72,30 +72,46 @@ def model_layout(model: dbn.Autoencoder) -> tuple[int, tuple[int, ...]]:
     return patch, tuple(sizes)
 
 
-def _unit_normalize(image: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    if hi > lo:
-        return (image - lo) / (hi - lo)
-    return np.zeros_like(image)
+def unit_normalize(images: np.ndarray, records: np.ndarray) -> np.ndarray:
+    """Map images (..., H, W) to [0, 1] by their (..., 2) (min, max) records.
+
+    Flat images (max == min) map to zero.
+    """
+    lo, hi = records[..., 0, None, None], records[..., 1, None, None]
+    span = hi - lo
+    return np.where(span > 0, (images - lo) / np.where(span > 0, span, 1.0), 0.0)
 
 
-def _unit_denormalize(image: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    return image * (hi - lo) + lo
+def _analyze(
+    lf: LightField, config: PipelineConfig
+) -> tuple[LayerStack, wbi.WbiCode, dict[str, float]]:
+    """The encoder front half: layer solve, then the scalable WBI factorization.
+
+    Returns the layers, the WBI code and the two stage times in seconds.
+    """
+    tick = time.perf_counter()
+    stack, _ = optimize_layers(
+        lf, layer_count=len(config.depths), depths=config.depths, config=config.solver
+    )
+    solved = time.perf_counter()
+    code = wbi.encode_scalable(stack.images, config.wbi)
+    timings = {"layers": solved - tick, "wbi": time.perf_counter() - solved}
+    return stack, code, timings
 
 
 def _level_symbols(
     level: wbi.WbiLevel, model: dbn.Autoencoder, patch: int, quant_bits: int
 ) -> np.ndarray:
     """Quantized latent symbols for every basis image of one level."""
-    chunks = []
-    n, channels = level.basis.shape[0], level.basis.shape[1]
-    for comp in range(n):
-        for chan in range(channels):
-            lo, hi = level.norm_records[comp, chan]
-            unit = _unit_normalize(level.basis[comp, chan], lo, hi)
-            tiles = dbn.patchify(unit, patch, mode="coding")
-            latent = dbn.encode_patches(model, tiles.vectors)
-            chunks.append(bitstream.quantize(latent.ravel(), quant_bits))
-    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.uint32)
+    H, W = level.basis.shape[2:]
+    unit = unit_normalize(level.basis, level.norm_records).reshape(-1, H, W)
+    chunks = [
+        dbn.encode_patches(model, dbn.patchify(image, patch).vectors).ravel()
+        for image in unit
+    ]
+    if not chunks:
+        return np.empty(0, dtype=np.uint32)
+    return bitstream.quantize(np.concatenate(chunks), quant_bits)
 
 
 def encode_light_field(
@@ -110,21 +126,16 @@ def encode_light_field(
     config = config or default_config()
     if qp is not None and quant_bits is not None:
         raise ValueError("give qp or quant_bits, not both")
-    bits = quant_bits_for_qp(qp) if qp is not None else (quant_bits or config.quant_bits)
+    if qp is not None:
+        bits = quant_bits_for_qp(qp)
+    else:
+        bits = config.quant_bits if quant_bits is None else quant_bits
+    bitstream.check_quant_bits(bits)
     lossless = config.lossless if lossless is None else lossless
     if model is None and not lossless:
         raise DataError("lossy encoding requires an autoencoder model")
 
-    timings: dict[str, float] = {}
-    tick = time.perf_counter()
-    stack, history = optimize_layers(
-        lf, layer_count=len(config.depths), depths=config.depths, config=config.solver
-    )
-    timings["layers"] = time.perf_counter() - tick
-
-    tick = time.perf_counter()
-    code = wbi.encode_scalable(stack.images, config.wbi)
-    timings["wbi"] = time.perf_counter() - tick
+    stack, code, timings = _analyze(lf, config)
 
     if lossless:
         patch, layer_sizes = config.dbn.patch, config.dbn.layer_sizes
@@ -170,7 +181,6 @@ def encode_light_field(
         header=header,
         layers=stack,
         wbi_code=code,
-        solver_history=tuple(history),
         timings=timings,
     )
 
@@ -191,30 +201,21 @@ def _level_from_payload(
     else:
         patch = header.patch
         grid_rows, grid_cols = -(-H // patch), -(-W // patch)
-        per_image = grid_rows * grid_cols * header.layer_sizes[-1]
-        expected = n * C * per_image
+        tiles_per_image = grid_rows * grid_cols
+        expected = n * C * tiles_per_image * header.layer_sizes[-1]
         if payload.symbols.size != expected:
             raise ContainerError(
                 f"level {level_index + 1} holds {payload.symbols.size} symbols, "
                 f"expected {expected}"
             )
-        basis = np.empty((n, C, H, W), dtype=np.float64)
+        latent = bitstream.dequantize(payload.symbols, header.quant_bits)
         layout = (H, W, grid_rows, grid_cols)
-        for comp in range(n):
-            for chan in range(C):
-                start = (comp * C + chan) * per_image
-                latent = bitstream.dequantize(
-                    payload.symbols[start : start + per_image], header.quant_bits
-                ).reshape(grid_rows * grid_cols, header.layer_sizes[-1])
-                vectors = dbn.decode_patches(model, latent)
-                tiles = dbn.PatchDataset(
-                    vectors=vectors,
-                    records=np.zeros((vectors.shape[0], 2)),
-                    patch=patch,
-                    layout=layout,
-                )
-                lo, hi = records[comp, chan]
-                basis[comp, chan] = _unit_denormalize(dbn.depatchify(tiles), lo, hi)
+        unit = np.stack([
+            dbn.depatchify(dbn.decode_patches(model, codes), patch, layout)
+            for codes in latent.reshape(n * C, tiles_per_image, header.layer_sizes[-1])
+        ])
+        lo, hi = records[..., 0, None, None], records[..., 1, None, None]
+        basis = unit.reshape(n, C, H, W) * (hi - lo) + lo
     return wbi.WbiLevel(
         components=tuple(range(first, first + n)),
         codes=payload.codes,
@@ -274,16 +275,11 @@ def training_images_from_light_field(
     beats training on raw views.
     """
     config = config or default_config()
-    stack, _ = optimize_layers(
-        lf, layer_count=len(config.depths), depths=config.depths, config=config.solver
-    )
-    code = wbi.encode_scalable(stack.images, config.wbi)
+    _, code, _ = _analyze(lf, config)
     images = []
     for level in code.levels:
-        for comp in range(level.basis.shape[0]):
-            for chan in range(level.basis.shape[1]):
-                lo, hi = level.norm_records[comp, chan]
-                images.append(_unit_normalize(level.basis[comp, chan], lo, hi))
+        unit = unit_normalize(level.basis, level.norm_records)
+        images.extend(unit.reshape(-1, *unit.shape[2:]))
     return images
 
 

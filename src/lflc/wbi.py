@@ -132,7 +132,7 @@ def solve_basis(target, codes: np.ndarray, ridge: float = 1e-8) -> np.ndarray:
     return flat.reshape(n, C, H, W)
 
 
-def _candidate_bits(n: int) -> np.ndarray:
+def bit_vectors(n: int) -> np.ndarray:
     """All 2^n bit vectors ordered by integer value, first bit most significant."""
     values = np.arange(1 << n, dtype=np.uint32)
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)
@@ -160,7 +160,7 @@ def solve_codes(target, basis: np.ndarray) -> np.ndarray:
     flat = basis.reshape(n, -1)
     gram = flat @ flat.T
     q = flat @ stack.reshape(stack.shape[0], -1).T  # (n, J)
-    candidates = _candidate_bits(n)  # (2^n, n)
+    candidates = bit_vectors(n)  # (2^n, n)
     quad = np.einsum("vn,nm,vm->v", candidates, gram, candidates)
     cost = quad[:, None] - 2.0 * (candidates @ q)
     best = np.argmin(cost, axis=0)  # first occurrence = smallest integer

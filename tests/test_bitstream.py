@@ -1,4 +1,6 @@
-"""Quantizer, arithmetic coder, container format, latent-plane export."""
+"""Quantizer, arithmetic coder, container format."""
+
+import struct
 
 import numpy as np
 import pytest
@@ -6,14 +8,11 @@ import pytest
 from lflc.bitstream import (
     ContainerHeader,
     DecodedContainer,
-    FRAME_ROWS,
     LevelPayload,
     bits_per_pixel,
     dequantize,
     entropy_decode,
     entropy_encode,
-    export_latent_planes,
-    import_latent_planes,
     packed_header_size,
     quantize,
     read_container,
@@ -245,6 +244,18 @@ class TestContainer:
         with pytest.raises(ContainerError):
             read_container(bytes(data))
 
+    def test_layer_bound_other_than_one_over_k_rejected(self):
+        rng = np.random.default_rng(53)
+        header = make_header(lossless=True, layers=2)
+        data = write_container(header, make_payloads(header, rng))
+        offset = struct.calcsize("<4sHH5II") + 4 * header.layer_count
+        assert struct.unpack_from("<d", data, offset) == (0.5,)
+        for bound in (0.9, float("nan")):
+            patched = bytearray(data)
+            struct.pack_into("<d", patched, offset, bound)
+            with pytest.raises(ContainerError, match="layer bound"):
+                read_container(bytes(patched))
+
     def test_section_boundaries_and_trailing_bytes(self):
         rng = np.random.default_rng(53)
         header = make_header(levels=(1, 1, 2))
@@ -298,35 +309,3 @@ class TestContainer:
     def test_bits_per_pixel_closed_form(self):
         assert bits_per_pixel(100, (5, 5), (4, 4)) == 2.0
 
-
-class TestLatentPlanes:
-    def test_export_import_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(56)
-        codes = rng.random((100, 8))
-        written = export_latent_planes(codes, tmp_path / "latent")
-        assert [p.name for p in written] == ["latent_0000.pgm", "latent_0001.pgm"]
-        back = import_latent_planes(tmp_path / "latent", count=100)
-        assert back.shape == (100, 8)
-        assert np.max(np.abs(back - codes)) <= 0.5 / 255 + 1e-12
-
-    def test_padding_rows_are_zero(self, tmp_path):
-        rng = np.random.default_rng(57)
-        codes = rng.random((70, 4))
-        export_latent_planes(codes, tmp_path / "latent")
-        full = import_latent_planes(tmp_path / "latent")
-        assert full.shape == (2 * FRAME_ROWS, 4)
-        np.testing.assert_array_equal(full[70:], 0.0)
-
-    def test_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            export_latent_planes(np.empty((0, 4)), tmp_path / "x")
-        with pytest.raises(ValueError):
-            export_latent_planes(np.full((4, 4), 1.5), tmp_path / "x")
-        with pytest.raises(ValueError):
-            export_latent_planes(np.zeros(4), tmp_path / "x")
-        with pytest.raises(ValueError):
-            import_latent_planes(tmp_path / "missing")
-        codes = np.random.default_rng(58).random((FRAME_ROWS, 3))
-        export_latent_planes(codes, tmp_path / "latent")
-        with pytest.raises(ValueError):
-            import_latent_planes(tmp_path / "latent", count=FRAME_ROWS + 1)

@@ -312,6 +312,12 @@ class TestExitCodes:
         assert info.value.code == USAGE_EXIT
         capsys.readouterr()
 
+    def test_zero_bits_is_data_error(self, workdir, tmp_path, capsys):
+        out = tmp_path / "x.lflc"
+        assert main(encode_args(workdir, out, ["--bits", "0"])) == DATA_EXIT
+        assert "quantizer bits" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["--help"])

@@ -12,7 +12,6 @@ from lflc.config import (
     quant_bits_for_qp,
     read_config_file,
     resolve_config,
-    with_quality,
 )
 from lflc.errors import ConfigError
 from lflc.metrics import DEFAULT_QP_GRID
@@ -36,13 +35,6 @@ class TestQpMapping:
             quant_bits_for_qp(1)
         with pytest.raises(ValueError):
             quant_bits_for_qp(49)
-
-    def test_with_quality_replaces_bits_only(self):
-        config = default_config()
-        adjusted = with_quality(config, 26)
-        assert adjusted.quant_bits == 8
-        assert adjusted.solver == config.solver
-        assert adjusted.wbi == config.wbi
 
 
 class TestParseEntries:

@@ -7,13 +7,11 @@ from lflc.dbn import (
     Autoencoder,
     CdState,
     DbnConfig,
-    PatchDataset,
     RbmParams,
     backprop_gradients,
     cd_update,
     conditional_probabilities,
     decode_patches,
-    denormalize_rows,
     depatchify,
     encode_patches,
     finetune,
@@ -26,7 +24,6 @@ from lflc.dbn import (
     patchify,
     pretrain_stack,
     rbm_energy,
-    reconstruction_cross_entropy,
     reconstruction_mse,
     save_model,
     sigmoid,
@@ -267,25 +264,24 @@ class TestCdUpdate:
             cd_update(params, np.zeros((4, 3)), k=0)
 
     def test_training_halves_reconstruction_cross_entropy(self):
+        def cross_entropy(params, batch):
+            # mean-field reconstruction v -> p(h|v) -> p(v|h)
+            ph = hidden_probabilities(params, batch)
+            pv = np.clip(visible_probabilities(params, ph), 1e-12, 1.0 - 1e-12)
+            ce = -(batch * np.log(pv) + (1.0 - batch) * np.log(1.0 - pv))
+            return float(ce.sum(axis=1).mean())
+
         rng = np.random.default_rng(0)
         params = init_rbm(4, 2, rng)
         batch = np.array([[1, 1, 0, 0], [0, 0, 1, 1]] * 8, dtype=float)
         state = CdState.zeros(params)
-        before = reconstruction_cross_entropy(params, batch)
+        before = cross_entropy(params, batch)
         for _ in range(200):
             params, state = cd_update(
                 params, batch, k=1, lr=0.1, momentum=0.5, rng=rng, state=state
             )
-        after = reconstruction_cross_entropy(params, batch)
+        after = cross_entropy(params, batch)
         assert after <= 0.5 * before
-
-    def test_cross_entropy_of_uninformative_model(self):
-        params = RbmParams(w=np.zeros((2, 4)), b=np.zeros(4), c=np.zeros(2))
-        batch = np.array([[1.0, 0.0, 1.0, 0.0]])
-        # p(v) = 0.5 everywhere, so CE = 4 ln 2
-        np.testing.assert_allclose(
-            reconstruction_cross_entropy(params, batch), 4 * np.log(2), rtol=1e-12
-        )
 
 
 class TestPretrain:
@@ -495,7 +491,7 @@ class TestPatchify:
         image = np.random.default_rng(29).random((10, 7))
         data = patchify(image, 4, mode="coding")
         assert data.layout == (10, 7, 3, 2)
-        np.testing.assert_array_equal(depatchify(data), image)
+        np.testing.assert_array_equal(depatchify(data.vectors, 4, data.layout), image)
 
     def test_coding_pad_replicates_edges(self):
         image = np.arange(30.0).reshape(5, 6) / 30.0
@@ -506,42 +502,6 @@ class TestPatchify:
         np.testing.assert_array_equal(tile[0, :2], image[4, 4:6])
         np.testing.assert_array_equal(tile[:, 2], tile[:, 1])  # col replication
         np.testing.assert_array_equal(tile[1], tile[0])  # row replication
-
-    def test_normalized_roundtrip(self):
-        image = np.random.default_rng(30).random((8, 8)) * 0.4 + 0.3
-        data = patchify(image, 4, mode="coding", normalize=True)
-        assert data.normalized
-        assert np.all(data.vectors >= 0.0) and np.all(data.vectors <= 1.0)
-        np.testing.assert_allclose(depatchify(data), image, atol=1e-12)
-
-    def test_records_hold_patch_extrema(self):
-        image = np.random.default_rng(31).random((8, 8))
-        data = patchify(image, 4, mode="coding")
-        for row, record in zip(data.vectors, data.records):
-            assert record[0] == row.min()
-            assert record[1] == row.max()
-
-    def test_flat_patch_normalizes_to_zero(self):
-        image = np.full((4, 4), 0.7)
-        data = patchify(image, 4, mode="coding", normalize=True)
-        np.testing.assert_array_equal(data.vectors, 0.0)
-        np.testing.assert_allclose(depatchify(data), image)
-
-    def test_denormalize_rows_inverts(self):
-        rng = np.random.default_rng(32)
-        vectors = rng.random((5, 9))
-        data = PatchDataset(
-            vectors=vectors, records=np.zeros((5, 2)), patch=3, layout=None
-        )
-        normalized = patchify(
-            np.random.default_rng(33).random((6, 6)), 3, mode="coding", normalize=True
-        )
-        back = denormalize_rows(normalized.vectors, normalized.records)
-        raw = patchify(
-            np.random.default_rng(33).random((6, 6)), 3, mode="coding"
-        ).vectors
-        np.testing.assert_allclose(back, raw, atol=1e-12)
-        assert data.count == 5
 
     def test_validation(self):
         image = np.random.default_rng(34).random((8, 8))
@@ -555,7 +515,12 @@ class TestPatchify:
             patchify(np.zeros((2, 2, 2)), 2)
         training = patchify(image, 4, mode="training")
         with pytest.raises(ValueError):
-            depatchify(training)
+            depatchify(training.vectors, 4, training.layout)
+        coding = patchify(image, 4, mode="coding")
+        with pytest.raises(ValueError):
+            depatchify(coding.vectors[1:], 4, coding.layout)
+        with pytest.raises(ValueError):
+            depatchify(coding.vectors, 2, coding.layout)
 
 
 class TestModelIo:

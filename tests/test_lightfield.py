@@ -10,7 +10,6 @@ from lflc.lightfield import (
     LightField,
     Manifest,
     angular_offset,
-    extract_view,
     load_light_field,
     psnr,
     psnr_masked,
@@ -49,21 +48,6 @@ class TestLightFieldType:
     def test_rejects_bad_channel_count(self):
         with pytest.raises(ValueError):
             LightField(samples=np.zeros((2, 1, 1, 2, 2)))
-
-    def test_view_stack_row_major_t_outer(self):
-        samples = np.zeros((1, 2, 3, 2, 2))
-        for t in range(2):
-            for s in range(3):
-                samples[0, t, s] = (t * 3 + s) / 10.0
-        stack = LightField(samples=samples).view_stack()
-        for line in range(6):
-            np.testing.assert_array_equal(stack[line], np.full((1, 2, 2), line / 10.0))
-
-    def test_extract_view_copies(self):
-        lf = LightField(samples=np.zeros((1, 1, 1, 2, 2)))
-        view = extract_view(lf, 0, 0)
-        view.samples[0, 0, 0] = 1.0
-        assert lf.samples[0, 0, 0, 0, 0] == 0.0
 
 
 class TestManifestIO:

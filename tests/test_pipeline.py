@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import centered_depths, random_truth_field
-from lflc.bitstream import truncate_container
+from lflc.bitstream import dequantize, quantize, truncate_container
 from lflc.config import PipelineConfig, default_config
-from lflc.dbn import Autoencoder, DbnConfig
+from lflc.dbn import (
+    Autoencoder,
+    DbnConfig,
+    decode_patches,
+    depatchify,
+    encode_patches,
+    patchify,
+)
 from lflc.errors import DataError
 from lflc.layers import SolverConfig
 from lflc.lightfield import psnr_masked
@@ -17,6 +24,7 @@ from lflc.pipeline import (
     model_layout,
     train_autoencoder,
     training_images_from_light_field,
+    unit_normalize,
 )
 from lflc.wbi import WbiConfig, decode_levels
 
@@ -132,6 +140,33 @@ class TestLossy:
         with pytest.raises(ValueError):
             encode_light_field(lf, model, small_config(), qp=26, quant_bits=8)
 
+    @pytest.mark.parametrize("bits", [0, 1, 17])
+    def test_out_of_range_bits_rejected(self, field, bits):
+        lf, _ = field
+        model = random_model(np.random.default_rng(76))
+        with pytest.raises(ValueError, match="quantizer bits"):
+            encode_light_field(lf, model, small_config(), quant_bits=bits)
+        with pytest.raises(ValueError, match="quantizer bits"):
+            encode_light_field(lf, None, small_config(), quant_bits=bits, lossless=True)
+
+    def test_level_latents_match_coding_each_image_alone(self, field):
+        lf, _ = field
+        model = random_model(np.random.default_rng(83))
+        config = small_config(levels=(2, 1))
+        encoded = encode_light_field(lf, model, config, quant_bits=12)
+        decoded = decode_light_field(encoded.container, model)
+        for sent, got in zip(encoded.wbi_code.levels, decoded.wbi_code.levels):
+            unit_basis = unit_normalize(sent.basis, sent.norm_records)
+            for comp, chan in np.ndindex(*sent.basis.shape[:2]):
+                lo, hi = sent.norm_records[comp, chan]
+                tiles = patchify(unit_basis[comp, chan], 4)
+                symbols = quantize(encode_patches(model, tiles.vectors), 12)
+                latent = dequantize(symbols, 12)
+                unit = depatchify(decode_patches(model, latent), 4, tiles.layout)
+                np.testing.assert_allclose(
+                    got.basis[comp, chan], unit * (hi - lo) + lo, rtol=0, atol=1e-12
+                )
+
     def test_lossy_requires_model_both_ways(self, field):
         lf, _ = field
         with pytest.raises(DataError):
@@ -159,6 +194,14 @@ class TestLossy:
 
 
 class TestTrainingPath:
+    def test_unit_normalize_maps_records_to_unit_range(self):
+        images = np.stack([np.linspace(0.2, 0.6, 16).reshape(4, 4), np.full((4, 4), 0.7)])
+        records = np.array([[0.2, 0.6], [0.7, 0.7]])
+        unit = unit_normalize(images, records)
+        assert unit[0].min() == 0.0 and unit[0].max() == 1.0
+        np.testing.assert_allclose(unit[0] * 0.4 + 0.2, images[0], atol=1e-15)
+        np.testing.assert_array_equal(unit[1], 0.0)  # flat images map to zero
+
     def test_basis_images_are_unit_range(self, field):
         lf, _ = field
         images = training_images_from_light_field(lf, small_config(iterations=10))
