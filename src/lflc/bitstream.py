@@ -7,7 +7,9 @@ self-contained section per scalability level. Sections hold the packed binary
 code matrix plus the entropy-coded quantized latent codes of that level's
 basis images (or the raw 64-bit images in lossless mode). A byte prefix of
 the container that ends on a section boundary is itself a valid container
-for the levels it covers, which is the whole point of the format.
+for the levels it covers, which is the whole point of the format. The reader
+rejects non-finite or inverted (min > max) normalization records and
+non-finite raw basis samples with a ContainerError.
 
 The entropy stage is a 32-bit binary arithmetic coder in the classic
 low/high/underflow formulation, driven MSB-first over the bit planes of each
@@ -373,6 +375,10 @@ def _parse_header(cursor: _Cursor) -> ContainerHeader:
         raise ContainerError(f"layer bound {layer_bound!r} is not 1/{layer_count}")
     if not MIN_QUANT_BITS <= quant_bits <= MAX_QUANT_BITS:
         raise ContainerError(f"quantizer bits {quant_bits} out of range")
+    if not np.all(np.isfinite(records)):
+        raise ContainerError("normalization records hold non-finite values")
+    if np.any(records[..., 0] > records[..., 1]):
+        raise ContainerError("normalization record with min above max")
     return ContainerHeader(
         angular_dims=(S, T),
         spatial_dims=(W, H),
@@ -433,6 +439,8 @@ def _parse_section(header: ContainerHeader, blob: bytes, n: int) -> LevelPayload
         count = n * header.channels * H * W
         raw = cursor.take(8 * count, "raw basis images")
         basis = np.frombuffer(raw, dtype="<f8").reshape(n, header.channels, H, W)
+        if not np.all(np.isfinite(basis)):
+            raise ContainerError("raw basis images hold non-finite samples")
         payload = LevelPayload(codes=codes, basis_raw=basis.copy())
     else:
         (symbol_count,) = cursor.unpack("<I", "symbol count")

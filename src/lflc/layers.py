@@ -10,14 +10,26 @@ positions where every layer lookup is in range. Because the model is linear
 in the layer images, optimal layers for a target light field are the
 solution of a box-constrained least-squares problem, solved here by
 projected gradient descent with backtracking.
+
+Render, adjoint and solver share one geometry per (depths, S, T, H, W),
+built once and memoised by `_geometry`: the in-range shift window of every
+(view, layer) pair, the read-only validity mask and its flat indices.
+Render adds each layer once, in layer order, as a copy-free strided view of
+the zero-padded layer, so every sample sums the same terms in the same
+order as a per-view loop would. The adjoint scatters through the same
+windows, and the solver gathers each candidate's loss through the flat
+indices and reuses the accepted candidate's residual for the next gradient.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 from .lightfield import LightField, angular_offset
@@ -83,18 +95,72 @@ class SolverConfig:
             raise ValueError("tolerance must be >= 0")
 
 
-def _shift_windows(depths, offsets_s, offsets_t, height, width):
-    """Per (t, s, k) output windows [v0:v1, u0:u1] where the shifted layer
-    lookup stays in range, as slice bounds into the output view."""
-    windows = {}
+class _Geometry(NamedTuple):
+    """Where the layers of one (depths, S, T, H, W) land in each view.
+
+    Built once per key by `_geometry` and shared by render, adjoint and
+    solver; its arrays are read-only.
+    """
+
+    windows: tuple  # (t, s, k, v0, v1, u0, u1, sy, sx) per non-empty window
+    mask: np.ndarray  # (T, S, H, W) bool: every layer lookup in range
+    index: np.ndarray  # np.flatnonzero(mask)
+    pad: tuple[int, int]  # zero margin (rows, cols) around a layer in render
+    reads: tuple  # per layer: (views t, views s, window rows, window cols)
+
+
+def _step_slice(start: int, step: int, count: int) -> slice:
+    """The basic slice start, start + step, ... of `count` indices; a zero
+    step gives the one index `start`, which broadcasts over the views."""
+    if step == 0:
+        return slice(start, start + 1)
+    stop = start + step * count
+    return slice(start, stop if stop >= 0 else None, step)
+
+
+@functools.lru_cache(maxsize=32)
+def _geometry(depths: tuple[int, ...], S: int, T: int, H: int, W: int) -> _Geometry:
+    offsets_s = [angular_offset(s, S) for s in range(S)]
+    offsets_t = [angular_offset(t, T) for t in range(T)]
+    windows = []
+    mask = np.zeros((T, S, H, W), dtype=bool)
     for ti, a_t in enumerate(offsets_t):
         for si, a_s in enumerate(offsets_s):
+            top, bottom, left, right = 0, H, 0, W
             for ki, d in enumerate(depths):
                 sy, sx = d * a_t, d * a_s
-                v0, v1 = max(0, -sy), min(height, height - sy)
-                u0, u1 = max(0, -sx), min(width, width - sx)
-                windows[ti, si, ki] = (v0, v1, u0, u1, sy, sx)
-    return windows
+                v0, v1 = max(0, -sy), min(H, H - sy)
+                u0, u1 = max(0, -sx), min(W, W - sx)
+                if v0 < v1 and u0 < u1:
+                    windows.append((ti, si, ki, v0, v1, u0, u1, sy, sx))
+                top, bottom = max(top, v0), min(bottom, v1)
+                left, right = max(left, u0), min(right, u1)
+            if top < bottom and left < right:
+                mask[ti, si, top:bottom, left:right] = True
+    index = np.flatnonzero(mask)
+    mask.flags.writeable = False
+    index.flags.writeable = False
+
+    # Render reads layer k for view (t, s) from the window at (pad_y + d*a_t,
+    # pad_x + d*a_s) of the zero-padded layer. The margin is capped at the
+    # image size so that a huge depth costs no memory: the views it shifts
+    # past the margin see none of the layer and are left out of its add.
+    reach = max((abs(d) for d in depths), default=0)
+    pad_y = min(reach * max(abs(a) for a in offsets_t), H)
+    pad_x = min(reach * max(abs(a) for a in offsets_s), W)
+    reads = []
+    for d in depths:
+        span_t = pad_y // abs(d) if d else T
+        span_s = pad_x // abs(d) if d else S
+        t0, t1 = max(0, T // 2 - span_t), min(T, T // 2 + span_t + 1)
+        s0, s1 = max(0, S // 2 - span_s), min(S, S // 2 + span_s + 1)
+        reads.append((
+            slice(t0, t1),
+            slice(s0, s1),
+            _step_slice(pad_y + d * offsets_t[t0], d, t1 - t0),
+            _step_slice(pad_x + d * offsets_s[s0], d, s1 - s0),
+        ))
+    return _Geometry(tuple(windows), mask, index, (pad_y, pad_x), tuple(reads))
 
 
 def render_additive(
@@ -110,26 +176,18 @@ def render_additive(
     if S < 1 or T < 1:
         raise ValueError(f"bad angular dims {angular_dims}")
     K, C, H, W = stack.images.shape
-    offsets_s = [angular_offset(s, S) for s in range(S)]
-    offsets_t = [angular_offset(t, T) for t in range(T)]
-    windows = _shift_windows(stack.depths, offsets_s, offsets_t, H, W)
+    geometry = _geometry(stack.depths, S, T, H, W)
+    pad_y, pad_x = geometry.pad
+    padded = np.zeros((K, C, H + 2 * pad_y, W + 2 * pad_x))
+    padded[:, :, pad_y : pad_y + H, pad_x : pad_x + W] = stack.images
 
+    # One add per layer, in layer order, so every sample sums its in-range
+    # lookups in the same order; an out-of-range lookup adds an exact zero.
     out = np.zeros((C, T, S, H, W), dtype=np.float64)
-    mask = np.zeros((T, S, H, W), dtype=bool)
-    for ti in range(T):
-        for si in range(S):
-            valid = np.ones((H, W), dtype=bool)
-            for ki in range(K):
-                v0, v1, u0, u1, sy, sx = windows[ti, si, ki]
-                if v0 < v1 and u0 < u1:
-                    out[:, ti, si, v0:v1, u0:u1] += stack.images[
-                        ki, :, v0 + sy : v1 + sy, u0 + sx : u1 + sx
-                    ]
-                window = np.zeros((H, W), dtype=bool)
-                window[v0:v1, u0:u1] = True
-                valid &= window
-            mask[ti, si] = valid
-    return out, mask
+    for k, (views_t, views_s, rows, cols) in enumerate(geometry.reads):
+        shifted = sliding_window_view(padded[k], (H, W), axis=(1, 2))
+        out[:, views_t, views_s] += shifted[:, rows, cols]
+    return out, geometry.mask.copy()
 
 
 def adjoint_scatter(
@@ -155,26 +213,14 @@ def adjoint_scatter(
     if channels is not None and channels != C:
         raise ValueError(f"expected {channels} channels, got {C}")
     depths = tuple(int(d) for d in depths)
-    offsets_s = [angular_offset(s, S) for s in range(S)]
-    offsets_t = [angular_offset(t, T) for t in range(T)]
-    windows = _shift_windows(depths, offsets_s, offsets_t, H, W)
 
     masked = residual * mask[None, :, :, :, :]
     grad = np.zeros((len(depths), C, H, W), dtype=np.float64)
-    for ti in range(T):
-        for si in range(S):
-            for ki in range(len(depths)):
-                v0, v1, u0, u1, sy, sx = windows[ti, si, ki]
-                if v0 < v1 and u0 < u1:
-                    grad[ki, :, v0 + sy : v1 + sy, u0 + sx : u1 + sx] += masked[
-                        :, ti, si, v0:v1, u0:u1
-                    ]
+    for ti, si, ki, v0, v1, u0, u1, sy, sx in _geometry(depths, S, T, H, W).windows:
+        grad[ki, :, v0 + sy : v1 + sy, u0 + sx : u1 + sx] += masked[
+            :, ti, si, v0:v1, u0:u1
+        ]
     return grad
-
-
-def _masked_loss(target: np.ndarray, rendered: np.ndarray, mask: np.ndarray) -> float:
-    diff = (target - rendered)[:, mask]
-    return 0.5 * float(np.dot(diff.ravel(), diff.ravel()))
 
 
 def optimize_layers(
@@ -204,10 +250,13 @@ def optimize_layers(
     C = target.channels
     bound = 1.0 / layer_count
 
+    # The mask comes from the geometry too; this render of a zero stack only
+    # keeps the solve's render count at two before its first step.
     zero_stack = LayerStack(depths, np.zeros((layer_count, C, H, W)))
     _, mask = render_additive(zero_stack, (S, T))
     if not mask.any():
         raise DataError("geometry shifts every sample out of range (empty mask)")
+    index = _geometry(depths, S, T, H, W).index
 
     if config.random_init:
         rng = np.random.default_rng(config.seed)
@@ -217,29 +266,30 @@ def optimize_layers(
             (layer_count, C, H, W), float(target.samples.mean()) / layer_count
         )
 
-    def render_images(imgs):
+    def residual_and_loss(imgs):
+        """Unmasked residual of a candidate and half its squared norm over
+        the mask, gathered in the order of (target - rendered)[:, mask]."""
         rendered, _ = render_additive(LayerStack(depths, imgs), (S, T))
-        return rendered
+        diff = target.samples - rendered
+        kept = np.take(diff.reshape(C, -1), index, axis=1).ravel()
+        return diff, 0.5 * float(np.dot(kept, kept))
 
-    rendered = render_images(images)
-    loss = _masked_loss(target.samples, rendered, mask)
+    diff, loss = residual_and_loss(images)
     history = [loss]
     step = config.step_size
     for _ in range(config.max_iterations):
-        residual = (target.samples - rendered) * mask[None]
-        grad = adjoint_scatter(residual, mask, depths, (W, H))
+        grad = adjoint_scatter(diff, mask, depths, (W, H))  # masks diff itself
         accepted = False
         for _ in range(config.backtracks + 1):
             candidate = np.clip(images + step * grad, 0.0, bound)
-            cand_rendered = render_images(candidate)
-            cand_loss = _masked_loss(target.samples, cand_rendered, mask)
+            cand_diff, cand_loss = residual_and_loss(candidate)
             if cand_loss <= loss:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
             break
-        images, rendered = candidate, cand_rendered
+        images, diff = candidate, cand_diff
         prev_loss, loss = loss, cand_loss
         history.append(loss)
         step *= 2.0

@@ -256,6 +256,33 @@ class TestContainer:
             with pytest.raises(ContainerError, match="layer bound"):
                 read_container(bytes(patched))
 
+    @pytest.mark.parametrize("lossless", [False, True])
+    @pytest.mark.parametrize(
+        "record",
+        [(0.0, float("nan")), (float("inf"), float("inf")),
+         (-float("inf"), 0.5), (0.75, 0.25)],
+        ids=["nan", "inf", "-inf", "min-above-max"],
+    )
+    def test_bad_normalization_record_rejected(self, lossless, record):
+        rng = np.random.default_rng(56)
+        header = make_header(levels=(1, 2), lossless=lossless)
+        data = bytearray(write_container(header, make_payloads(header, rng)))
+        records = packed_header_size(header) - header.norm_records.nbytes
+        struct.pack_into("<2d", data, records + 16, *record)  # second record
+        with pytest.raises(ContainerError, match="normalization record"):
+            read_container(bytes(data))
+
+    @pytest.mark.parametrize("sample", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_raw_basis_rejected(self, sample):
+        rng = np.random.default_rng(57)
+        header = make_header(levels=(1, 2), lossless=True)
+        data = bytearray(write_container(header, make_payloads(header, rng)))
+        # section 1: length, component count, one byte of codes, raw samples
+        raw = packed_header_size(header) + 4 + 4 + 1
+        struct.pack_into("<d", data, raw + 8 * 5, sample)
+        with pytest.raises(ContainerError, match="non-finite"):
+            read_container(bytes(data))
+
     def test_section_boundaries_and_trailing_bytes(self):
         rng = np.random.default_rng(53)
         header = make_header(levels=(1, 1, 2))

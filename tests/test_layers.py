@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import centered_depths, random_truth_field
+from lflc import layers
 from lflc.layers import (
     LayerStack,
     SolverConfig,
@@ -41,6 +42,26 @@ def naive_render(stack: LayerStack, angular_dims):
     return out, mask
 
 
+def slice_loop_render(stack: LayerStack, angular_dims):
+    """Unmasked sum of the in-range lookups, one slice add per (t, s, k)
+    with the layers in order: the reference for the render's samples."""
+    S, T = angular_dims
+    K, C, H, W = stack.images.shape
+    out = np.zeros((C, T, S, H, W))
+    for t in range(T):
+        for s in range(S):
+            for k, depth in enumerate(stack.depths):
+                sy, sx = depth * angular_offset(t, T), depth * angular_offset(s, S)
+                rows = range(max(0, -sy), min(H, H - sy))
+                cols = range(max(0, -sx), min(W, W - sx))
+                if rows and cols:
+                    out[:, t, s, rows.start : rows.stop, cols.start : cols.stop] += (
+                        stack.images[k, :, rows.start + sy : rows.stop + sy,
+                                     cols.start + sx : cols.stop + sx]
+                    )
+    return out
+
+
 class TestRenderAdditive:
     def test_matches_naive_gather(self):
         rng = np.random.default_rng(10)
@@ -51,6 +72,28 @@ class TestRenderAdditive:
             ref_out, ref_mask = naive_render(stack, dims)
             np.testing.assert_array_equal(mask, ref_mask)
             np.testing.assert_allclose(out[:, ref_mask], ref_out[:, ref_mask], atol=1e-14)
+
+    @pytest.mark.parametrize("depths", [(-2, 0, 2), (0, 3), (-1, 0, 1, 2)])
+    @pytest.mark.parametrize("dims", [(3, 3), (4, 4), (5, 4), (4, 1)])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("size", [(7, 6), (2, 3)])
+    def test_equals_slice_loop_reference(self, depths, dims, channels, size):
+        # size (2, 3) shifts some layers past the whole image in outer views
+        H, W = size
+        rng = np.random.default_rng(len(depths) * 100 + dims[0] * 10 + dims[1])
+        K = len(depths)
+        stack = LayerStack(depths, rng.uniform(0, 1.0 / K, (K, channels, H, W)))
+        out, mask = render_additive(stack, dims)
+        assert np.array_equal(out, slice_loop_render(stack, dims))
+        assert np.array_equal(mask, naive_render(stack, dims)[1])
+
+    def test_returned_mask_is_the_callers_own(self):
+        stack = LayerStack((-1, 0, 1), np.zeros((3, 1, 6, 6)))
+        _, mask = render_additive(stack, (3, 3))
+        expected = mask.copy()
+        mask[...] = ~mask
+        _, again = render_additive(stack, (3, 3))
+        assert np.array_equal(again, expected)
 
     def test_zero_stack_renders_zero(self):
         stack = LayerStack((-1, 0, 1), np.zeros((3, 1, 4, 4)))
@@ -140,13 +183,30 @@ class TestOptimizeLayers:
     def test_history_starts_at_constant_init_loss(self):
         rng = np.random.default_rng(15)
         lf, mask, _ = random_truth_field(rng, height=10, width=10, views=(3, 3))
-        _, history = optimize_layers(lf, config=SolverConfig(max_iterations=1))
+
+        def masked_loss(stack):
+            rendered, _ = render_additive(stack, lf.angular_dims)
+            g = (lf.samples - rendered)[:, mask].ravel()
+            return 0.5 * float(np.dot(g, g))
+
         init = LayerStack(
             (-1, 0, 1), np.full((3, 1, 10, 10), float(lf.samples.mean()) / 3.0)
         )
-        rendered, _ = render_additive(init, lf.angular_dims)
-        expected = 0.5 * float(np.sum((lf.samples[:, mask] - rendered[:, mask]) ** 2))
-        np.testing.assert_allclose(history[0], expected, rtol=1e-12)
+        stack, history = optimize_layers(lf, config=SolverConfig(max_iterations=5))
+        assert len(history) >= 2
+        assert history[0] == masked_loss(init)
+        assert history[-1] == masked_loss(stack)
+
+    def test_cold_geometry_cache_gives_the_same_solve(self):
+        rng = np.random.default_rng(17)
+        lf, _, _ = random_truth_field(rng, height=9, width=11, views=(4, 3))
+        config = SolverConfig(max_iterations=30)
+        optimize_layers(lf, config=config)
+        warm, warm_history = optimize_layers(lf, config=config)
+        layers._geometry.cache_clear()
+        cold, cold_history = optimize_layers(lf, config=config)
+        assert warm.images.tobytes() == cold.images.tobytes()
+        assert warm_history == cold_history
 
     def test_deterministic(self):
         rng = np.random.default_rng(16)

@@ -1,10 +1,12 @@
 """End-to-end codec paths: lossless exactness, progressive decode, training."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from conftest import centered_depths, random_truth_field
-from lflc.bitstream import dequantize, quantize, truncate_container
+from lflc.bitstream import dequantize, packed_header_size, quantize, truncate_container
 from lflc.config import PipelineConfig, default_config
 from lflc.dbn import (
     Autoencoder,
@@ -90,6 +92,15 @@ class TestLossless:
         encoded = encode_light_field(lf, None, small_config(), lossless=True)
         assert encoded.header.lossless
         decode_light_field(encoded.container, model=None)
+
+    def test_non_finite_record_is_data_error(self, field):
+        lf, _ = field
+        encoded = encode_light_field(lf, None, small_config(), lossless=True)
+        data = bytearray(encoded.container)
+        header_end = packed_header_size(encoded.header)
+        struct.pack_into("<d", data, header_end - 8, float("nan"))  # last record's max
+        with pytest.raises(DataError, match="normalization record"):
+            decode_light_field(bytes(data), model=None)
 
     def test_container_is_deterministic(self, field):
         lf, _ = field
