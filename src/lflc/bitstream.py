@@ -73,137 +73,6 @@ def dequantize(symbols, bits: int) -> np.ndarray:
 # adaptive binary arithmetic coder
 
 
-class _BitWriter:
-    def __init__(self):
-        self._bytes = bytearray()
-        self._acc = 0
-        self._count = 0
-
-    def write(self, bit: int) -> None:
-        self._acc = (self._acc << 1) | bit
-        self._count += 1
-        if self._count == 8:
-            self._bytes.append(self._acc)
-            self._acc = 0
-            self._count = 0
-
-    def getvalue(self) -> bytes:
-        if self._count:
-            return bytes(self._bytes) + bytes([self._acc << (8 - self._count)])
-        return bytes(self._bytes)
-
-
-class _BitReader:
-    """MSB-first bit reader that tolerates a bounded read-past-end tail."""
-
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
-        self._acc = 0
-        self._count = 0
-        self.overrun = 0
-
-    def read(self) -> int:
-        if self._count == 0:
-            if self._pos < len(self._data):
-                self._acc = self._data[self._pos]
-                self._pos += 1
-                self._count = 8
-            else:
-                self.overrun += 1
-                if self.overrun > _EOF_BIT_ALLOWANCE:
-                    raise TruncatedStreamError(
-                        "entropy stream exhausted mid-symbol"
-                    )
-                return 0
-        self._count -= 1
-        return (self._acc >> self._count) & 1
-
-
-class _PlaneModel:
-    """One adaptive zero/one frequency pair per symbol bit plane."""
-
-    def __init__(self, planes: int):
-        self.counts = [[1, 1] for _ in range(planes)]
-
-    def freqs(self, plane: int) -> tuple[int, int]:
-        zero, one = self.counts[plane]
-        return zero, zero + one
-
-    def record(self, plane: int, bit: int) -> None:
-        pair = self.counts[plane]
-        pair[bit] += 1
-        if pair[0] + pair[1] >= _RESCALE_TOTAL:
-            pair[0] = (pair[0] + 1) >> 1
-            pair[1] = (pair[1] + 1) >> 1
-
-
-class _Encoder:
-    def __init__(self):
-        self.low = 0
-        self.high = _STATE_MASK
-        self.pending = 0
-        self.out = _BitWriter()
-
-    def encode(self, bit: int, zero: int, total: int) -> None:
-        span = self.high - self.low + 1
-        split = self.low + zero * span // total
-        if bit:
-            self.low = split
-        else:
-            self.high = split - 1
-        while ((self.low ^ self.high) & _HALF) == 0:
-            top = self.low >> (_STATE_BITS - 1)
-            self.out.write(top)
-            for _ in range(self.pending):
-                self.out.write(top ^ 1)
-            self.pending = 0
-            self.low = (self.low << 1) & _STATE_MASK
-            self.high = ((self.high << 1) & _STATE_MASK) | 1
-        while (self.low & ~self.high & _QUARTER) != 0:
-            self.pending += 1
-            self.low = (self.low << 1) ^ _HALF
-            self.high = ((self.high ^ _HALF) << 1) | _HALF | 1
-
-    def finish(self) -> bytes:
-        self.out.write(1)
-        for _ in range(self.pending):
-            self.out.write(0)
-        return self.out.getvalue()
-
-
-class _Decoder:
-    def __init__(self, data: bytes):
-        self.low = 0
-        self.high = _STATE_MASK
-        self.reader = _BitReader(data)
-        self.code = 0
-        for _ in range(_STATE_BITS):
-            self.code = (self.code << 1) | self.reader.read()
-
-    def decode(self, zero: int, total: int) -> int:
-        span = self.high - self.low + 1
-        split = self.low + zero * span // total
-        bit = 1 if self.code >= split else 0
-        if bit:
-            self.low = split
-        else:
-            self.high = split - 1
-        while ((self.low ^ self.high) & _HALF) == 0:
-            self.code = ((self.code << 1) & _STATE_MASK) | self.reader.read()
-            self.low = (self.low << 1) & _STATE_MASK
-            self.high = ((self.high << 1) & _STATE_MASK) | 1
-        while (self.low & ~self.high & _QUARTER) != 0:
-            self.code = (
-                (self.code & _HALF)
-                | ((self.code << 1) & (_STATE_MASK >> 1))
-                | self.reader.read()
-            )
-            self.low = (self.low << 1) ^ _HALF
-            self.high = ((self.high ^ _HALF) << 1) | _HALF | 1
-        return bit
-
-
 def entropy_encode(symbols, bits: int) -> bytes:
     """Arithmetic-code symbols MSB-plane-first with per-plane adaptation."""
     symbols = np.asarray(symbols).ravel()
@@ -211,35 +80,90 @@ def entropy_encode(symbols, bits: int) -> bytes:
         raise ValueError(f"symbol overflow for {bits}-bit planes")
     if symbols.size and int(symbols.min()) < 0:
         raise ValueError("symbols must be non-negative")
-    model = _PlaneModel(bits)
-    encoder = _Encoder()
+    # one adaptive [zeros, ones] pair per bit plane, MSB plane first
+    planes = [(shift, [1, 1]) for shift in range(bits - 1, -1, -1)]
+    low, high, pending = 0, _STATE_MASK, 0
+    out = bytearray()
     for symbol in symbols.tolist():
-        for plane in range(bits - 1, -1, -1):
-            bit = (symbol >> plane) & 1
-            zero, total = model.freqs(bits - 1 - plane)
-            encoder.encode(bit, zero, total)
-            model.record(bits - 1 - plane, bit)
-    return encoder.finish()
+        for shift, pair in planes:
+            bit = (symbol >> shift) & 1
+            zero = pair[0]
+            split = low + zero * (high - low + 1) // (zero + pair[1])
+            if bit:
+                low = split
+            else:
+                high = split - 1
+            while not (low ^ high) & _HALF:
+                top = low >> (_STATE_BITS - 1)
+                out.append(top)
+                if pending:
+                    out.extend([top ^ 1] * pending)
+                    pending = 0
+                low = (low << 1) & _STATE_MASK
+                high = ((high << 1) & _STATE_MASK) | 1
+            while low & ~high & _QUARTER:
+                pending += 1
+                low = (low << 1) ^ _HALF
+                high = ((high ^ _HALF) << 1) | _HALF | 1
+            pair[bit] += 1
+            if pair[0] + pair[1] >= _RESCALE_TOTAL:
+                pair[0] = (pair[0] + 1) >> 1
+                pair[1] = (pair[1] + 1) >> 1
+    out.append(1)
+    out.extend([0] * pending)
+    return np.packbits(np.frombuffer(out, dtype=np.uint8)).tobytes()
 
 
 def entropy_decode(data: bytes, count: int, bits: int) -> np.ndarray:
     """Invert entropy_encode; raises TruncatedStreamError on starved input."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    out = np.empty(count, dtype=np.uint32)
     if count == 0:
-        return out
-    model = _PlaneModel(bits)
-    decoder = _Decoder(data)
-    for i in range(count):
-        symbol = 0
-        for plane in range(bits - 1, -1, -1):
-            zero, total = model.freqs(bits - 1 - plane)
-            bit = decoder.decode(zero, total)
-            model.record(bits - 1 - plane, bit)
-            symbol = (symbol << 1) | bit
-        out[i] = symbol
-    return out
+        return np.empty(0, dtype=np.uint32)
+    # MSB-first bits of the stream plus the zero tail a decoder may legitimately
+    # read past the end; reading beyond that tail means the stream is starved
+    stream = np.unpackbits(np.frombuffer(data, dtype=np.uint8)).tobytes()
+    stream += bytes(_EOF_BIT_ALLOWANCE)
+    code = 0
+    for bit in stream[:_STATE_BITS]:
+        code = (code << 1) | bit
+    pos = _STATE_BITS
+    planes = [[1, 1] for _ in range(bits)]
+    low, high = 0, _STATE_MASK
+    symbols = []
+    try:
+        for _ in range(count):
+            symbol = 0
+            for pair in planes:
+                zero = pair[0]
+                split = low + zero * (high - low + 1) // (zero + pair[1])
+                if code >= split:
+                    bit = 1
+                    low = split
+                else:
+                    bit = 0
+                    high = split - 1
+                while not (low ^ high) & _HALF:
+                    code = ((code << 1) & _STATE_MASK) | stream[pos]
+                    pos += 1
+                    low = (low << 1) & _STATE_MASK
+                    high = ((high << 1) & _STATE_MASK) | 1
+                while low & ~high & _QUARTER:
+                    code = (
+                        (code & _HALF) | ((code << 1) & (_STATE_MASK >> 1)) | stream[pos]
+                    )
+                    pos += 1
+                    low = (low << 1) ^ _HALF
+                    high = ((high ^ _HALF) << 1) | _HALF | 1
+                pair[bit] += 1
+                if pair[0] + pair[1] >= _RESCALE_TOTAL:
+                    pair[0] = (pair[0] + 1) >> 1
+                    pair[1] = (pair[1] + 1) >> 1
+                symbol = (symbol << 1) | bit
+            symbols.append(symbol)
+    except IndexError:
+        raise TruncatedStreamError("entropy stream exhausted mid-symbol") from None
+    return np.array(symbols, dtype=np.uint32)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +394,9 @@ def read_container(data: bytes, max_level: int | None = None) -> DecodedContaine
 
     Truncation exactly at a section boundary is a valid shorter container:
     the result simply reports fewer levels_used. Truncation inside a section
-    raises TruncatedSectionError carrying the last complete level.
+    raises TruncatedSectionError carrying the last complete level. A complete
+    section that fails to parse raises its own DataError (a ContainerError or
+    a TruncatedStreamError), never TruncatedSectionError.
     """
     cursor = _Cursor(data)
     header = _parse_header(cursor)
@@ -487,12 +413,12 @@ def read_container(data: bytes, max_level: int | None = None) -> DecodedContaine
         try:
             (length,) = cursor.unpack(">I", "section length")
             blob = cursor.take(length, f"section {level + 1}")
-            payloads.append(_parse_section(header, blob, header.partition[level]))
-        except (ContainerError, TruncatedStreamError) as exc:
+        except ContainerError as exc:
             raise TruncatedSectionError(
                 f"container truncated inside section {level + 1}: {exc}",
                 last_complete_level=level,
             ) from exc
+        payloads.append(_parse_section(header, blob, header.partition[level]))
     if not payloads:
         raise TruncatedSectionError(
             "container holds no complete section", last_complete_level=0

@@ -1,6 +1,8 @@
 """Quantizer, arithmetic coder, container format."""
 
+import hashlib
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +22,12 @@ from lflc.bitstream import (
     truncate_container,
     write_container,
 )
-from lflc.errors import ContainerError, TruncatedSectionError, TruncatedStreamError
+from lflc.errors import (
+    ContainerError,
+    DataError,
+    TruncatedSectionError,
+    TruncatedStreamError,
+)
 
 
 def make_header(levels=(2, 2), channels=1, lossless=False, quant_bits=8,
@@ -131,6 +138,34 @@ class TestEntropyCodec:
         rng = np.random.default_rng(43)
         symbols = rng.integers(0, 64, size=400, dtype=np.uint32)
         assert entropy_encode(symbols, 6) == entropy_encode(symbols, 6)
+
+    # Every container ever written depends on these exact bytes.
+    @pytest.mark.parametrize(
+        "symbols, bits, digest",
+        [
+            # 70 000 decisions per plane: both planes pass the 65 536-count rescale
+            (
+                np.minimum(np.random.default_rng(2026).geometric(0.7, 70_000) - 1, 3),
+                2,
+                "5f4de84a5c5bcaa8025ef785e238da26bc7b9a1774892d4eeb69fd4244f577c8",
+            ),
+            (
+                np.random.default_rng(14).integers(0, 1 << 14, 5_000),
+                14,
+                "836f37d33de4170a0f6508d786cc18603373d0e0b0915b030c966c788f0f58c9",
+            ),
+            (
+                np.zeros(10_000, dtype=np.uint32),
+                8,
+                "39aacdb7c5b0f8f7c76abbcef6c950b7dd009512fdddf0e21e79d3de57b952c9",
+            ),
+        ],
+        ids=["skewed-2bit-rescaled", "uniform-14bit", "zeros-8bit"],
+    )
+    def test_golden_streams(self, symbols, bits, digest):
+        data = entropy_encode(symbols, bits)
+        assert hashlib.sha256(data).hexdigest() == digest
+        np.testing.assert_array_equal(entropy_decode(data, symbols.size, bits), symbols)
 
     def test_truncated_stream_raises(self):
         rng = np.random.default_rng(44)
@@ -280,8 +315,34 @@ class TestContainer:
         # section 1: length, component count, one byte of codes, raw samples
         raw = packed_header_size(header) + 4 + 4 + 1
         struct.pack_into("<d", data, raw + 8 * 5, sample)
-        with pytest.raises(ContainerError, match="non-finite"):
+        with pytest.raises(ContainerError, match="non-finite") as info:
             read_container(bytes(data))
+        assert not isinstance(info.value, TruncatedSectionError)
+
+    @pytest.mark.parametrize("lossless", [False, True])
+    def test_wrong_component_count_in_complete_section(self, lossless):
+        rng = np.random.default_rng(59)
+        header = make_header(levels=(1, 2), lossless=lossless)
+        data = bytearray(write_container(header, make_payloads(header, rng)))
+        struct.pack_into("<I", data, packed_header_size(header) + 4, 7)
+        with pytest.raises(ContainerError, match="declares 7 components") as info:
+            read_container(bytes(data))
+        assert not isinstance(info.value, TruncatedSectionError)
+
+    def test_inflated_symbol_count_is_data_error(self):
+        rng = np.random.default_rng(58)
+        header = make_header()
+        data = bytearray(write_container(header, make_payloads(header, rng)))
+        # section 1: length, component count, packed codes, then symbol count
+        packed_codes = (header.partition[0] * header.layer_count + 7) // 8
+        offset = packed_header_size(header) + 4 + 4 + packed_codes
+        assert struct.unpack_from("<I", data, offset) == (header.partition[0] * 10,)
+        struct.pack_into("<I", data, offset, 0xFFFFFFFF)
+        t0 = time.perf_counter()
+        with pytest.raises(DataError) as info:
+            read_container(bytes(data))
+        assert time.perf_counter() - t0 < 1.0
+        assert not isinstance(info.value, TruncatedSectionError)
 
     def test_section_boundaries_and_trailing_bytes(self):
         rng = np.random.default_rng(53)
