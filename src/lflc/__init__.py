@@ -32,7 +32,6 @@ from .config import (
 from .dbn import (
     Autoencoder,
     DbnConfig,
-    PatchDataset,
     RbmParams,
     cd_update,
     conditional_probabilities,
@@ -42,10 +41,11 @@ from .dbn import (
     finetune,
     load_model,
     partition_function_bruteforce,
-    patchify,
     pretrain_stack,
     rbm_energy,
     save_model,
+    tile_patches,
+    training_patches,
     unroll,
 )
 from .errors import (

@@ -8,8 +8,10 @@ code matrix plus the entropy-coded quantized latent codes of that level's
 basis images (or the raw 64-bit images in lossless mode). A byte prefix of
 the container that ends on a section boundary is itself a valid container
 for the levels it covers, which is the whole point of the format. The reader
-rejects non-finite or inverted (min > max) normalization records and
-non-finite raw basis samples with a ContainerError.
+rejects non-finite or inverted (min > max) normalization records,
+non-finite raw basis samples and entropy streams other than the exact bytes
+the encoder writes for their symbols with a ContainerError (a stream too
+short for its symbols raises TruncatedStreamError).
 
 The entropy stage is a 32-bit binary arithmetic coder in the classic
 low/high/underflow formulation, driven MSB-first over the bit planes of each
@@ -115,11 +117,15 @@ def entropy_encode(symbols, bits: int) -> bytes:
 
 
 def entropy_decode(data: bytes, count: int, bits: int) -> np.ndarray:
-    """Invert entropy_encode; raises TruncatedStreamError on starved input."""
+    """Invert entropy_encode.
+
+    Accepts only the exact bytes entropy_encode writes for the decoded
+    symbols: a stream too short for them raises TruncatedStreamError, one
+    that is longer or ends in other bits than the encoder's flush and
+    padding raises ContainerError.
+    """
     if count < 0:
         raise ValueError("count must be >= 0")
-    if count == 0:
-        return np.empty(0, dtype=np.uint32)
     # MSB-first bits of the stream plus the zero tail a decoder may legitimately
     # read past the end; reading beyond that tail means the stream is starved
     stream = np.unpackbits(np.frombuffer(data, dtype=np.uint8)).tobytes()
@@ -129,7 +135,7 @@ def entropy_decode(data: bytes, count: int, bits: int) -> np.ndarray:
         code = (code << 1) | bit
     pos = _STATE_BITS
     planes = [[1, 1] for _ in range(bits)]
-    low, high = 0, _STATE_MASK
+    low, high, pending = 0, _STATE_MASK, 0
     symbols = []
     try:
         for _ in range(count):
@@ -146,6 +152,7 @@ def entropy_decode(data: bytes, count: int, bits: int) -> np.ndarray:
                 while not (low ^ high) & _HALF:
                     code = ((code << 1) & _STATE_MASK) | stream[pos]
                     pos += 1
+                    pending = 0
                     low = (low << 1) & _STATE_MASK
                     high = ((high << 1) & _STATE_MASK) | 1
                 while low & ~high & _QUARTER:
@@ -153,6 +160,7 @@ def entropy_decode(data: bytes, count: int, bits: int) -> np.ndarray:
                         (code & _HALF) | ((code << 1) & (_STATE_MASK >> 1)) | stream[pos]
                     )
                     pos += 1
+                    pending += 1
                     low = (low << 1) ^ _HALF
                     high = ((high ^ _HALF) << 1) | _HALF | 1
                 pair[bit] += 1
@@ -163,6 +171,20 @@ def entropy_decode(data: bytes, count: int, bits: int) -> np.ndarray:
             symbols.append(symbol)
     except IndexError:
         raise TruncatedStreamError("entropy stream exhausted mid-symbol") from None
+    # the decoder read one bit per encoder shift after its first state-width
+    # bits; the encoder ended with a 1, its pending bits as 0s and zero padding
+    flush = pos - _STATE_BITS - pending
+    expected = (pos - _STATE_BITS + 1 + 7) // 8
+    if len(data) < expected:
+        raise TruncatedStreamError(
+            f"entropy stream holds {len(data)} bytes, its symbols need {expected}"
+        )
+    if len(data) > expected:
+        raise ContainerError(
+            f"entropy stream holds {len(data)} bytes, its symbols fill {expected}"
+        )
+    if not stream[flush] or any(stream[flush + 1 : 8 * len(data)]):
+        raise ContainerError("entropy stream does not end the way the encoder ends it")
     return np.array(symbols, dtype=np.uint32)
 
 

@@ -85,15 +85,12 @@ _SCHEMA = {
     "solver.step_size": ("solver", "step_size", float),
     "solver.backtracks": ("solver", "backtracks", int),
     "solver.tolerance": ("solver", "tolerance", float),
-    "solver.seed": ("solver", "seed", int),
-    "solver.random_init": ("solver", "random_init", _parse_bool),
     "wbi.components": ("wbi", "components", int),
     "wbi.partition": ("wbi", "partition", _parse_ints),
     "wbi.max_alternations": ("wbi", "max_alternations", int),
     "wbi.tolerance": ("wbi", "tolerance", float),
     "wbi.ridge": ("wbi", "ridge", float),
     "wbi.seed": ("wbi", "seed", int),
-    "wbi.search_cap": ("wbi", "search_cap", int),
     "dbn.layer_sizes": ("dbn", "layer_sizes", _parse_ints),
     "dbn.patch": ("dbn", "patch", int),
     "dbn.stride": ("dbn", "stride", int),

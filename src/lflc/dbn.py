@@ -33,14 +33,19 @@ DEFAULT_LAYER_SIZES = (128, 256, 64, 32)
 
 
 def sigmoid(x) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function: 1 / (1 + e^-x) for x >= 0 and
+    e^x / (1 + e^x) below, with e = exp(-|x|) never overflowing."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def _rows(batch, width: int, what: str) -> np.ndarray:
+    """`batch` as a float (count, width) array, or ValueError."""
+    batch = np.asarray(batch, dtype=np.float64)
+    if batch.ndim != 2 or batch.shape[1] != width:
+        raise ValueError(f"{what} must be (count, {width}), got {batch.shape}")
+    return batch
 
 
 @dataclass(frozen=True)
@@ -184,11 +189,7 @@ def cd_update(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != params.visible_units:
-        raise ValueError(
-            f"batch must be (count, {params.visible_units}), got {batch.shape}"
-        )
+    batch = _rows(batch, params.visible_units, "batch")
     if batch.shape[0] == 0:
         raise ValueError("batch is empty")
     if rng is None:
@@ -267,7 +268,7 @@ def pretrain_stack(data, config: DbnConfig) -> list[RbmParams]:
     next layer. With epochs = 0 the seeded initial parameters come back
     unchanged, which pins the initialization for reproducibility tests.
     """
-    visible = np.asarray(getattr(data, "vectors", data), dtype=np.float64)
+    visible = np.asarray(data, dtype=np.float64)
     if visible.ndim != 2 or visible.shape[0] == 0:
         raise ValueError("training data must be a non-empty (count, dim) array")
     rng = np.random.default_rng(config.seed)
@@ -363,45 +364,34 @@ def unroll(stack: list[RbmParams]) -> Autoencoder:
     return Autoencoder(weights=tuple(weights), biases=tuple(biases))
 
 
-def forward(ae: Autoencoder, batch: np.ndarray) -> list[np.ndarray]:
-    """Activations after every layer; index -1 is the reconstruction."""
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != ae.input_units:
-        raise ValueError(f"batch must be (count, {ae.input_units}), got {batch.shape}")
+def _layers(ae: Autoencoder, layers: slice, batch: np.ndarray) -> list[np.ndarray]:
+    """The batch, then the activation after each layer of the slice."""
     activations = [batch]
-    for w, b in zip(ae.weights, ae.biases):
+    for w, b in zip(ae.weights[layers], ae.biases[layers]):
         activations.append(sigmoid(activations[-1] @ w.T + b))
     return activations
 
 
+def forward(ae: Autoencoder, batch: np.ndarray) -> list[np.ndarray]:
+    """Activations after every layer; index -1 is the reconstruction."""
+    return _layers(ae, slice(None), _rows(batch, ae.input_units, "batch"))
+
+
 def encode_patches(ae: Autoencoder, patches: np.ndarray) -> np.ndarray:
     """Mean-field pass through the encoder half; rows land in (0,1)^F4."""
-    patches = np.asarray(patches, dtype=np.float64)
-    if patches.ndim != 2 or patches.shape[1] != ae.input_units:
-        raise ValueError(
-            f"patches must be (count, {ae.input_units}), got {patches.shape}"
-        )
-    out = patches
-    for w, b in zip(ae.weights[: ae.encoder_depth], ae.biases[: ae.encoder_depth]):
-        out = sigmoid(out @ w.T + b)
-    return out
+    patches = _rows(patches, ae.input_units, "patches")
+    return _layers(ae, slice(ae.encoder_depth), patches)[-1]
 
 
 def decode_patches(ae: Autoencoder, codes: np.ndarray) -> np.ndarray:
     """Mean-field pass through the decoder half."""
-    codes = np.asarray(codes, dtype=np.float64)
-    if codes.ndim != 2 or codes.shape[1] != ae.code_units:
-        raise ValueError(f"codes must be (count, {ae.code_units}), got {codes.shape}")
-    out = codes
-    for w, b in zip(ae.weights[ae.encoder_depth :], ae.biases[ae.encoder_depth :]):
-        out = sigmoid(out @ w.T + b)
-    return out
+    codes = _rows(codes, ae.code_units, "codes")
+    return _layers(ae, slice(ae.encoder_depth, None), codes)[-1]
 
 
 def reconstruction_mse(ae: Autoencoder, batch: np.ndarray) -> float:
-    batch = np.asarray(batch, dtype=np.float64)
-    recon = forward(ae, batch)[-1]
-    return float(np.mean((recon - batch) ** 2))
+    activations = forward(ae, batch)
+    return float(np.mean((activations[-1] - activations[0]) ** 2))
 
 
 def backprop_gradients(ae: Autoencoder, batch: np.ndarray):
@@ -424,118 +414,99 @@ def backprop_gradients(ae: Autoencoder, batch: np.ndarray):
     return grads_w, grads_b, loss
 
 
+def _copy(ae: Autoencoder) -> Autoencoder:
+    return Autoencoder(
+        weights=tuple(w.copy() for w in ae.weights),
+        biases=tuple(b.copy() for b in ae.biases),
+    )
+
+
 def finetune(ae: Autoencoder, data, config: DbnConfig) -> Autoencoder:
     """Mini-batch momentum backprop on reconstruction MSE.
 
-    Tracks the best full-data error seen (the untouched input network
-    included) and returns that snapshot, so the result never ends worse than
-    it started even if the last epochs overshoot.
+    Trains one private copy of the network in place and returns a snapshot
+    of the best full-data error seen (the untouched input network included),
+    so the result never ends worse than it started even if the last epochs
+    overshoot. The input network is left as it was.
     """
-    vectors = np.asarray(getattr(data, "vectors", data), dtype=np.float64)
+    vectors = np.asarray(data, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[0] == 0:
         raise ValueError("training data must be a non-empty (count, dim) array")
     rng = np.random.default_rng(config.seed + 1)
-    weights = [w.copy() for w in ae.weights]
-    biases = [b.copy() for b in ae.biases]
-    vel_w = [np.zeros_like(w) for w in weights]
-    vel_b = [np.zeros_like(b) for b in biases]
-    best = Autoencoder(weights=tuple(weights), biases=tuple(biases))
-    best_error = reconstruction_mse(best, vectors)
+    work = _copy(ae)
+    params = work.weights + work.biases
+    velocities = [np.zeros_like(p) for p in params]
+    best, best_error = _copy(work), reconstruction_mse(work, vectors)
     for _ in range(config.epochs):
         for index in _minibatches(vectors.shape[0], config.batch_size, rng):
-            current = Autoencoder(weights=tuple(weights), biases=tuple(biases))
-            grads_w, grads_b, _ = backprop_gradients(current, vectors[index])
-            for layer in range(len(weights)):
-                vel_w[layer] = config.momentum * vel_w[layer] - config.learning_rate * grads_w[layer]
-                vel_b[layer] = config.momentum * vel_b[layer] - config.learning_rate * grads_b[layer]
-                weights[layer] = weights[layer] + vel_w[layer]
-                biases[layer] = biases[layer] + vel_b[layer]
-        candidate = Autoencoder(weights=tuple(weights), biases=tuple(biases))
-        error = reconstruction_mse(candidate, vectors)
+            grads_w, grads_b, _ = backprop_gradients(work, vectors[index])
+            for p, v, g in zip(params, velocities, grads_w + grads_b):
+                v *= config.momentum
+                v -= config.learning_rate * g
+                p += v
+        error = reconstruction_mse(work, vectors)
         if error < best_error:
-            best, best_error = candidate, error
+            best, best_error = _copy(work), error
     return best
 
 
-@dataclass(frozen=True)
-class PatchDataset:
-    """Flattened patches plus what it takes to undo the slicing."""
-
-    vectors: np.ndarray  # (count, p*p) in [0,1]
-    patch: int
-    layout: tuple[int, int, int, int] | None  # (H, W, rows, cols); None in training mode
-
-    @property
-    def count(self) -> int:
-        return self.vectors.shape[0]
-
-
-def patchify(
-    image: np.ndarray,
-    p: int,
-    stride: int | None = None,
-    mode: str = "coding",
-    variance_threshold: float = 1e-4,
-) -> PatchDataset:
-    """Cut an image into p*p patch vectors.
-
-    Training mode slides a stride-spaced window over full placements only and
-    drops near-uniform patches (variance below threshold). Coding mode tiles
-    with stride = p, padding the right and bottom edges by replication so
-    depatchify can invert exactly; nothing is dropped.
-    """
+def _checked_image(image, p: int) -> np.ndarray:
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise ValueError(f"image must be 2-D grayscale, got shape {image.shape}")
     if p < 2:
         raise ValueError("patch size must be >= 2")
-    H, W = image.shape
-    if H < p or W < p:
+    if image.shape[0] < p or image.shape[1] < p:
         raise ValueError(f"image {image.shape} smaller than patch {p}")
-    if mode == "training":
-        stride = p if stride is None else stride
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
-        rows = []
-        for y in range(0, H - p + 1, stride):
-            for x in range(0, W - p + 1, stride):
-                tile = image[y : y + p, x : x + p]
-                if tile.var() >= variance_threshold:
-                    rows.append(tile.reshape(-1))
-        vectors = (
-            np.array(rows, dtype=np.float64)
-            if rows
-            else np.empty((0, p * p), dtype=np.float64)
-        )
-        layout = None
-    elif mode == "coding":
-        grid_rows = -(-H // p)
-        grid_cols = -(-W // p)
-        padded = np.pad(
-            image, ((0, grid_rows * p - H), (0, grid_cols * p - W)), mode="edge"
-        )
-        tiles = padded.reshape(grid_rows, p, grid_cols, p).transpose(0, 2, 1, 3)
-        vectors = tiles.reshape(grid_rows * grid_cols, p * p)
-        layout = (H, W, grid_rows, grid_cols)
-    else:
-        raise ValueError(f"mode must be 'training' or 'coding', got {mode!r}")
-    return PatchDataset(
-        vectors=np.ascontiguousarray(vectors), patch=p, layout=layout
+    return image
+
+
+def training_patches(
+    image: np.ndarray, p: int, stride: int, variance_threshold: float
+) -> np.ndarray:
+    """(count, p*p) training vectors from a stride-spaced window.
+
+    Only full placements are taken, row-major, and near-uniform patches
+    (variance below the threshold) are dropped, so count may be zero.
+    """
+    image = _checked_image(image, p)
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    H, W = image.shape
+    tiles = (
+        image[y : y + p, x : x + p]
+        for y in range(0, H - p + 1, stride)
+        for x in range(0, W - p + 1, stride)
     )
+    kept = [tile.reshape(-1) for tile in tiles if tile.var() >= variance_threshold]
+    return np.array(kept, dtype=np.float64).reshape(-1, p * p)
 
 
-def depatchify(vectors: np.ndarray, patch: int, layout) -> np.ndarray:
-    """Reassemble coding-mode patch vectors into the original image."""
-    if layout is None:
-        raise ValueError("depatchify needs a coding-mode layout")
-    H, W, grid_rows, grid_cols = layout
-    if vectors.shape != (grid_rows * grid_cols, patch * patch):
+def tile_patches(image: np.ndarray, p: int) -> np.ndarray:
+    """(rows * cols, p*p) vectors tiling the image row-major with stride p.
+
+    The right and bottom edges are padded by replication, so depatchify
+    inverts the tiling exactly; nothing is dropped.
+    """
+    image = _checked_image(image, p)
+    H, W = image.shape
+    rows, cols = -(-H // p), -(-W // p)
+    padded = np.pad(image, ((0, rows * p - H), (0, cols * p - W)), mode="edge")
+    tiles = padded.reshape(rows, p, cols, p).transpose(0, 2, 1, 3)
+    return np.ascontiguousarray(tiles.reshape(rows * cols, p * p))
+
+
+def depatchify(vectors: np.ndarray, patch: int, shape: tuple[int, int]) -> np.ndarray:
+    """Reassemble tile_patches vectors into the (H, W) image they tile."""
+    H, W = shape
+    rows, cols = -(-H // patch), -(-W // patch)
+    if vectors.shape != (rows * cols, patch * patch):
         raise ValueError(
-            f"expected {grid_rows * grid_cols} patches of {patch * patch} values, "
+            f"expected {rows * cols} patches of {patch * patch} values, "
             f"got {vectors.shape}"
         )
-    tiles = vectors.reshape(grid_rows, grid_cols, patch, patch).transpose(0, 2, 1, 3)
-    return tiles.reshape(grid_rows * patch, grid_cols * patch)[:H, :W].copy()
+    tiles = vectors.reshape(rows, cols, patch, patch).transpose(0, 2, 1, 3)
+    return tiles.reshape(rows * patch, cols * patch)[:H, :W].copy()
 
 
 MODEL_MAGIC = b"DBN1"

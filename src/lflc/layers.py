@@ -83,8 +83,6 @@ class SolverConfig:
     step_size: float = 1.0
     backtracks: int = 30
     tolerance: float = 1e-9
-    seed: int = 0
-    random_init: bool = False
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -258,13 +256,7 @@ def optimize_layers(
         raise DataError("geometry shifts every sample out of range (empty mask)")
     index = _geometry(depths, S, T, H, W).index
 
-    if config.random_init:
-        rng = np.random.default_rng(config.seed)
-        images = rng.uniform(0.0, bound, size=(layer_count, C, H, W))
-    else:
-        images = np.full(
-            (layer_count, C, H, W), float(target.samples.mean()) / layer_count
-        )
+    images = np.full((layer_count, C, H, W), float(target.samples.mean()) / layer_count)
 
     def residual_and_loss(imgs):
         """Unmasked residual of a candidate and half its squared norm over

@@ -106,7 +106,7 @@ def _level_symbols(
     H, W = level.basis.shape[2:]
     unit = unit_normalize(level.basis, level.norm_records).reshape(-1, H, W)
     chunks = [
-        dbn.encode_patches(model, dbn.patchify(image, patch).vectors).ravel()
+        dbn.encode_patches(model, dbn.tile_patches(image, patch)).ravel()
         for image in unit
     ]
     if not chunks:
@@ -200,8 +200,7 @@ def _level_from_payload(
         basis = np.asarray(payload.basis_raw, dtype=np.float64)
     else:
         patch = header.patch
-        grid_rows, grid_cols = -(-H // patch), -(-W // patch)
-        tiles_per_image = grid_rows * grid_cols
+        tiles_per_image = -(-H // patch) * -(-W // patch)
         expected = n * C * tiles_per_image * header.layer_sizes[-1]
         if payload.symbols.size != expected:
             raise ContainerError(
@@ -209,9 +208,8 @@ def _level_from_payload(
                 f"expected {expected}"
             )
         latent = bitstream.dequantize(payload.symbols, header.quant_bits)
-        layout = (H, W, grid_rows, grid_cols)
         unit = np.stack([
-            dbn.depatchify(dbn.decode_patches(model, codes), patch, layout)
+            dbn.depatchify(dbn.decode_patches(model, codes), patch, (H, W))
             for codes in latent.reshape(n * C, tiles_per_image, header.layer_sizes[-1])
         ])
         lo, hi = records[..., 0, None, None], records[..., 1, None, None]
@@ -285,18 +283,11 @@ def training_images_from_light_field(
 
 def collect_training_patches(images, config: dbn.DbnConfig) -> np.ndarray:
     """Stride-sampled, variance-filtered patch vectors from [0,1] images."""
-    chunks = []
-    for image in images:
-        dataset = dbn.patchify(
-            image,
-            config.patch,
-            stride=config.stride,
-            mode="training",
-            variance_threshold=config.variance_threshold,
-        )
-        if dataset.count:
-            chunks.append(dataset.vectors)
-    if not chunks:
+    chunks = [
+        dbn.training_patches(image, config.patch, config.stride, config.variance_threshold)
+        for image in images
+    ]
+    if not sum(len(chunk) for chunk in chunks):
         raise DataError(
             "no training patches survived the variance filter; lower "
             "dbn.variance_threshold or dbn.stride"

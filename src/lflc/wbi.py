@@ -39,7 +39,6 @@ class WbiConfig:
     tolerance: float = 1e-7
     ridge: float = 1e-8
     seed: int = 7
-    search_cap: int = MAX_SEARCH_CAP
 
     def __post_init__(self):
         partition = tuple(int(x) for x in self.partition)
@@ -50,11 +49,9 @@ class WbiConfig:
             )
         if any(size < 1 for size in partition):
             raise ValueError(f"empty group in partition {partition}")
-        if not 1 <= self.search_cap <= MAX_SEARCH_CAP:
-            raise ValueError(f"search_cap must be in [1, {MAX_SEARCH_CAP}]")
-        if any(size > self.search_cap for size in partition):
+        if any(size > MAX_SEARCH_CAP for size in partition):
             raise ValueError(
-                f"group sizes {partition} exceed search cap {self.search_cap}"
+                f"group sizes {partition} exceed search cap {MAX_SEARCH_CAP}"
             )
         if self.max_alternations < 1:
             raise ValueError("max_alternations must be >= 1")
@@ -188,8 +185,8 @@ def alternate_minimize(
     stack = _as_stack(target)
     if n_act < 1:
         raise ValueError("n_act must be >= 1")
-    if n_act > config.search_cap:
-        raise ValueError(f"n_act {n_act} exceeds search cap {config.search_cap}")
+    if n_act > MAX_SEARCH_CAP:
+        raise ValueError(f"n_act {n_act} exceeds search cap {MAX_SEARCH_CAP}")
     J = stack.shape[0]
     stack_flat = stack.reshape(J, -1)
     rng = np.random.default_rng(config.seed)
@@ -235,7 +232,6 @@ def encode_scalable(target, config: WbiConfig | None = None) -> WbiCode:
             tolerance=config.tolerance,
             ridge=config.ridge,
             seed=config.seed + m,
-            search_cap=config.search_cap,
         )
         codes, basis, history = alternate_minimize(residual, size, level_config)
         level = WbiLevel(

@@ -174,6 +174,54 @@ class TestEntropyCodec:
         with pytest.raises(TruncatedStreamError):
             entropy_decode(data[: len(data) // 2], 1000, 8)
 
+    @pytest.mark.parametrize(
+        "symbols, bits",
+        [
+            (np.random.default_rng(46).integers(0, 256, 150), 8),
+            (np.minimum(np.random.default_rng(47).geometric(0.6, 300) - 1, 15), 4),
+            (np.full(381, 1234), 12),
+        ],
+        ids=["uniform-8bit", "geometric-4bit", "constant-12bit"],
+    )
+    def test_stream_must_be_exactly_the_encoders(self, symbols, bits):
+        data = entropy_encode(symbols, bits)
+        # a zero byte reads like the decoder's own zero tail, so the symbols
+        # decode unchanged and only the length gives the extra byte away
+        with pytest.raises(ContainerError, match="holds"):
+            entropy_decode(data + b"\x00", symbols.size, bits)
+        for cut in range(len(data)):
+            with pytest.raises(DataError):
+                entropy_decode(data[:cut], symbols.size, bits)
+
+    def test_anything_decoded_is_what_the_encoder_writes(self):
+        """Truncated, extended or random bytes either raise DataError or are
+        exactly the stream entropy_encode writes for the decoded symbols."""
+        rng = np.random.default_rng(48)
+        cases = []
+        for _ in range(20):
+            bits, count = int(rng.integers(2, 17)), int(rng.integers(1, 120))
+            data = entropy_encode(rng.integers(0, 1 << bits, count), bits)
+            cases += [(data[:cut], count, bits) for cut in range(len(data))]
+            tail = bytes(rng.integers(0, 256, 3).astype(np.uint8))
+            cases += [(data + tail[:k], count, bits) for k in (1, 2, 3)]
+        for _ in range(300):
+            data = bytes(rng.integers(0, 256, int(rng.integers(0, 64))).astype(np.uint8))
+            cases.append((data, int(rng.integers(1, 400)), int(rng.integers(2, 17))))
+        for data, count, bits in cases:
+            try:
+                symbols = entropy_decode(data, count, bits)
+            except DataError:
+                continue
+            assert entropy_encode(symbols, bits) == data
+
+    def test_empty_stream_is_one_flush_byte(self):
+        assert entropy_encode(np.empty(0, dtype=np.uint32), 8) == b"\x80"
+        with pytest.raises(TruncatedStreamError):
+            entropy_decode(b"", 0, 8)
+        for data in (b"\x00", b"\x81", b"\xc0", b"\x80\x00"):
+            with pytest.raises(ContainerError):
+                entropy_decode(data, 0, 8)
+
     def test_symbol_validation(self):
         with pytest.raises(ValueError):
             entropy_encode(np.array([256], dtype=np.int64), 8)
@@ -342,6 +390,25 @@ class TestContainer:
         with pytest.raises(DataError) as info:
             read_container(bytes(data))
         assert time.perf_counter() - t0 < 1.0
+        assert not isinstance(info.value, TruncatedSectionError)
+
+    def test_extra_stream_byte_in_complete_section(self):
+        rng = np.random.default_rng(60)
+        header = make_header()
+        data = bytearray(write_container(header, make_payloads(header, rng)))
+        # section 1: length, component count, packed codes, symbol count,
+        # stream length, stream; grow the stream by one byte and both lengths
+        start = packed_header_size(header)
+        packed_codes = (header.partition[0] * header.layer_count + 7) // 8
+        length_at = start + 4 + 4 + packed_codes + 4
+        (section_len,) = struct.unpack_from(">I", data, start)
+        (stream_len,) = struct.unpack_from("<I", data, length_at)
+        struct.pack_into(">I", data, start, section_len + 1)
+        struct.pack_into("<I", data, length_at, stream_len + 1)
+        data[length_at + 4 + stream_len : length_at + 4 + stream_len] = b"\x00"
+        with pytest.raises(DataError) as info:
+            read_container(bytes(data))
+        assert isinstance(info.value, ContainerError)
         assert not isinstance(info.value, TruncatedSectionError)
 
     def test_section_boundaries_and_trailing_bytes(self):

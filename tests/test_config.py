@@ -138,6 +138,8 @@ class TestFormatConfig:
         assert "solver.max_iterations" in keys
         assert "dbn.allow_any_sizes" in keys
         assert "quantizer.lossless" in keys
+        assert len(keys) == len(lines) == 25
+        assert not keys & {"solver.seed", "solver.random_init", "wbi.search_cap"}
 
 
 class TestPipelineConfig:

@@ -1,8 +1,11 @@
 """RBM energy model, CD training, unrolled autoencoder, patch plumbing."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from lflc import dbn
 from lflc.dbn import (
     Autoencoder,
     CdState,
@@ -21,12 +24,13 @@ from lflc.dbn import (
     joint_probabilities_bruteforce,
     load_model,
     partition_function_bruteforce,
-    patchify,
     pretrain_stack,
     rbm_energy,
     reconstruction_mse,
     save_model,
     sigmoid,
+    tile_patches,
+    training_patches,
     unroll,
     visible_probabilities,
 )
@@ -51,6 +55,24 @@ def random_autoencoder(rng, sizes):
     return Autoencoder(weights=weights, biases=biases)
 
 
+def two_branch_sigmoid(x):
+    """Reference logistic: one boolean-mask branch per sign of x."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def sha256_of(arrays):
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
 class TestSigmoid:
     def test_known_values(self):
         assert sigmoid(0.0) == 0.5
@@ -65,6 +87,17 @@ class TestSigmoid:
     def test_symmetry(self):
         x = np.linspace(-8, 8, 33)
         np.testing.assert_allclose(sigmoid(x) + sigmoid(-x), 1.0, atol=1e-12)
+
+    def test_bit_identical_to_two_branch_form(self):
+        special = np.array(
+            [0.0, -0.0, 1e-320, -1e-320, 1.0, -1.0, 709.0, -709.0, 745.2, -745.2,
+             np.inf, -np.inf, np.nan]
+        )
+        assert np.array_equal(sigmoid(special), two_branch_sigmoid(special), equal_nan=True)
+        rng = np.random.default_rng(38)
+        for trial in range(300):
+            x = rng.normal(0.0, 10.0 ** (trial % 4), size=(int(rng.integers(1, 50)), 8))
+            assert np.array_equal(sigmoid(x), two_branch_sigmoid(x))
 
 
 class TestEnergy:
@@ -371,6 +404,15 @@ class TestAutoencoder:
             decode_patches(ae, codes), forward(ae, batch)[-1], atol=1e-15
         )
 
+    def test_row_shapes_checked(self):
+        ae = random_autoencoder(np.random.default_rng(39), (6, 4, 2))
+        for call, width in ((forward, 6), (encode_patches, 6), (decode_patches, 2)):
+            call(ae, np.zeros((3, width)))
+            with pytest.raises(ValueError):
+                call(ae, np.zeros((3, width + 1)))
+            with pytest.raises(ValueError):
+                call(ae, np.zeros(width))
+
     def test_validation(self):
         rng = np.random.default_rng(22)
         w = rng.normal(size=(3, 4))
@@ -465,40 +507,93 @@ class TestFinetune:
         tuned = finetune(ae, data, config)
         assert reconstruction_mse(tuned, data) < 0.9 * reconstruction_mse(ae, data)
 
+    def test_input_untouched_and_result_unshared(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        ae = random_autoencoder(rng, (6, 5, 3))
+        data = rng.random((40, 6))
+        before = [array.copy() for array in ae.weights + ae.biases]
+        working = []
+        gradients = dbn.backprop_gradients
+
+        def spy(net, batch):
+            working.append(net)
+            return gradients(net, batch)
+
+        monkeypatch.setattr(dbn, "backprop_gradients", spy)
+        config = DbnConfig(
+            layer_sizes=(5, 6, 5, 3), epochs=6, learning_rate=0.5,
+            batch_size=10, allow_any_sizes=True,
+        )
+        tuned = finetune(ae, data, config)
+        assert len(working) == 6 * 4
+        assert all(net is working[0] for net in working)  # one working network
+        for array, saved in zip(ae.weights + ae.biases, before):
+            assert np.array_equal(array, saved)
+        assert reconstruction_mse(tuned, data) < reconstruction_mse(ae, data)
+        others = ae.weights + ae.biases + working[0].weights + working[0].biases
+        for array in tuned.weights + tuned.biases:
+            assert not any(np.shares_memory(array, other) for other in others)
+        for array in working[0].weights + working[0].biases:
+            assert not any(np.shares_memory(array, other) for other in ae.weights + ae.biases)
+
+
+class TestTrainingGolden:
+    """SHA-256 of a small seeded pretrain -> unroll -> finetune run.
+
+    The digests pin every weight, bias and mean-field reconstruction bit for
+    bit; any change to the arithmetic of CD, backprop, the momentum updates
+    or the logistic moves them. They depend on numpy's float64 matmul, so a
+    different BLAS build may need them recomputed.
+    """
+
+    def test_digests(self):
+        data = np.random.default_rng(2024).random((96, 9)) ** 2
+        sizes = dict(layer_sizes=(6, 8, 4, 2), patch=3, batch_size=16, seed=3)
+        pretrain = DbnConfig(epochs=4, learning_rate=0.1, momentum=0.5, **sizes)
+        tune = DbnConfig(epochs=6, learning_rate=0.5, momentum=0.9, **sizes)
+        ae = unroll(pretrain_stack(data, pretrain))
+        tuned = finetune(ae, data, tune)
+        assert reconstruction_mse(tuned, data) < reconstruction_mse(ae, data)
+        assert sha256_of(tuned.weights + tuned.biases) == (
+            "501b8a029b234fb3b57f04c41ac7705dd6916157ab5291b05d4a8aaddc0c81da"
+        )
+        assert sha256_of([decode_patches(tuned, encode_patches(tuned, data))]) == (
+            "04890de9186fcad50f043b3d2b0939c619be6d59c2978472401c47e4d5c7cd59"
+        )
+
 
 class TestPatchify:
     def test_training_mode_counts_full_placements(self):
         image = np.random.default_rng(27).random((10, 13))
-        data = patchify(image, 4, stride=3, mode="training", variance_threshold=0.0)
+        vectors = training_patches(image, 4, 3, 0.0)
         rows = len(range(0, 10 - 4 + 1, 3))
         cols = len(range(0, 13 - 4 + 1, 3))
-        assert data.count == rows * cols
-        assert data.layout is None
-        np.testing.assert_allclose(data.vectors[0], image[:4, :4].reshape(-1))
+        assert vectors.shape == (rows * cols, 16)
+        np.testing.assert_array_equal(vectors[0], image[:4, :4].reshape(-1))
+        np.testing.assert_array_equal(vectors[cols + 1], image[3:7, 3:7].reshape(-1))
 
     def test_training_mode_drops_flat_patches(self):
         image = np.zeros((8, 8))
         image[4:, 4:] = np.random.default_rng(28).random((4, 4))
-        data = patchify(image, 4, stride=4, mode="training", variance_threshold=1e-6)
-        assert data.count == 1
+        vectors = training_patches(image, 4, 4, 1e-6)
+        np.testing.assert_array_equal(vectors, image[4:, 4:].reshape(1, 16))
 
     def test_all_flat_training_set_is_empty(self):
-        data = patchify(np.full((8, 8), 0.3), 4, mode="training")
-        assert data.count == 0
-        assert data.vectors.shape == (0, 16)
+        vectors = training_patches(np.full((8, 8), 0.3), 4, 4, 1e-4)
+        assert vectors.shape == (0, 16)
 
     def test_coding_roundtrip_non_multiple_size(self):
         image = np.random.default_rng(29).random((10, 7))
-        data = patchify(image, 4, mode="coding")
-        assert data.layout == (10, 7, 3, 2)
-        np.testing.assert_array_equal(depatchify(data.vectors, 4, data.layout), image)
+        vectors = tile_patches(image, 4)
+        assert vectors.shape == (3 * 2, 16)
+        np.testing.assert_array_equal(depatchify(vectors, 4, (10, 7)), image)
 
     def test_coding_pad_replicates_edges(self):
         image = np.arange(30.0).reshape(5, 6) / 30.0
-        data = patchify(image, 4, mode="coding")
-        assert data.layout == (5, 6, 2, 2)
+        vectors = tile_patches(image, 4)
+        assert vectors.shape == (2 * 2, 16)
         # bottom-right tile covers rows 4..7, cols 4..7 of the padded image
-        tile = data.vectors[3].reshape(4, 4)
+        tile = vectors[3].reshape(4, 4)
         np.testing.assert_array_equal(tile[0, :2], image[4, 4:6])
         np.testing.assert_array_equal(tile[:, 2], tile[:, 1])  # col replication
         np.testing.assert_array_equal(tile[1], tile[0])  # row replication
@@ -506,21 +601,24 @@ class TestPatchify:
     def test_validation(self):
         image = np.random.default_rng(34).random((8, 8))
         with pytest.raises(ValueError):
-            patchify(image, 1)
+            tile_patches(image, 1)
         with pytest.raises(ValueError):
-            patchify(image, 16)
+            tile_patches(image, 16)
         with pytest.raises(ValueError):
-            patchify(image, 4, mode="tiles")
+            tile_patches(np.zeros((2, 2, 2)), 2)
         with pytest.raises(ValueError):
-            patchify(np.zeros((2, 2, 2)), 2)
-        training = patchify(image, 4, mode="training")
+            training_patches(image, 16, 4, 0.0)
         with pytest.raises(ValueError):
-            depatchify(training.vectors, 4, training.layout)
-        coding = patchify(image, 4, mode="coding")
+            training_patches(image, 4, 0, 0.0)
+        with pytest.raises(ValueError):  # 9 stride-2 placements, not 4 tiles
+            depatchify(training_patches(image, 4, 2, 0.0), 4, (8, 8))
+        tiles = tile_patches(image, 4)
         with pytest.raises(ValueError):
-            depatchify(coding.vectors[1:], 4, coding.layout)
+            depatchify(tiles[1:], 4, (8, 8))
         with pytest.raises(ValueError):
-            depatchify(coding.vectors, 2, coding.layout)
+            depatchify(tiles, 2, (8, 8))
+        with pytest.raises(ValueError):
+            depatchify(tiles, 4, (9, 8))
 
 
 class TestModelIo:

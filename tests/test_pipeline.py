@@ -14,7 +14,7 @@ from lflc.dbn import (
     decode_patches,
     depatchify,
     encode_patches,
-    patchify,
+    tile_patches,
 )
 from lflc.errors import DataError
 from lflc.layers import SolverConfig
@@ -170,10 +170,10 @@ class TestLossy:
             unit_basis = unit_normalize(sent.basis, sent.norm_records)
             for comp, chan in np.ndindex(*sent.basis.shape[:2]):
                 lo, hi = sent.norm_records[comp, chan]
-                tiles = patchify(unit_basis[comp, chan], 4)
-                symbols = quantize(encode_patches(model, tiles.vectors), 12)
+                tiles = tile_patches(unit_basis[comp, chan], 4)
+                symbols = quantize(encode_patches(model, tiles), 12)
                 latent = dequantize(symbols, 12)
-                unit = depatchify(decode_patches(model, latent), 4, tiles.layout)
+                unit = depatchify(decode_patches(model, latent), 4, unit_basis.shape[2:])
                 np.testing.assert_allclose(
                     got.basis[comp, chan], unit * (hi - lo) + lo, rtol=0, atol=1e-12
                 )

@@ -246,8 +246,6 @@ class TestWbiConfig:
     def test_group_size_capped(self):
         with pytest.raises(ValueError):
             WbiConfig(components=9, partition=(9,))
-        with pytest.raises(ValueError):
-            WbiConfig(components=4, partition=(2, 2), search_cap=1)
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
