@@ -8,10 +8,11 @@ code matrix plus the entropy-coded quantized latent codes of that level's
 basis images (or the raw 64-bit images in lossless mode). A byte prefix of
 the container that ends on a section boundary is itself a valid container
 for the levels it covers, which is the whole point of the format. The reader
-rejects non-finite or inverted (min > max) normalization records,
-non-finite raw basis samples and entropy streams other than the exact bytes
-the encoder writes for their symbols with a ContainerError (a stream too
-short for its symbols raises TruncatedStreamError).
+rejects an empty view grid, layer depths that are not strictly increasing,
+non-finite or inverted (min > max) normalization records, non-finite raw
+basis samples and entropy streams other than the exact bytes the encoder
+writes for their symbols with a ContainerError (a stream too short for its
+symbols raises TruncatedStreamError).
 
 The entropy stage is a 32-bit binary arithmetic coder in the classic
 low/high/underflow formulation, driven MSB-first over the bit planes of each
@@ -315,8 +316,12 @@ def _parse_header(cursor: _Cursor) -> ContainerHeader:
     total = sum(partition)
     raw = cursor.take(8 * total * channels * 2, "normalization records")
     records = np.frombuffer(raw, dtype="<f8").reshape(total, channels, 2).copy()
+    if min(S, T, W, H) < 1:
+        raise ContainerError(f"empty view grid {S}x{T} of {W}x{H} px")
     if layer_count < 1 or level_count < 1 or min(partition, default=0) < 1:
         raise ContainerError("degenerate layer or level structure")
+    if any(b <= a for a, b in zip(depths, depths[1:])):
+        raise ContainerError(f"layer depths {depths} are not strictly increasing")
     if layer_bound != 1.0 / layer_count:
         raise ContainerError(f"layer bound {layer_bound!r} is not 1/{layer_count}")
     if not MIN_QUANT_BITS <= quant_bits <= MAX_QUANT_BITS:

@@ -21,6 +21,7 @@ from .config import (
     default_config,
     format_config,
     parse_entries,
+    quant_bits_for_qp,
     read_config_file,
     resolve_config,
 )
@@ -87,14 +88,10 @@ def _cmd_encode(args) -> int:
         model = dbn.load_model(args.model)
     elif needs_model:
         raise DataError("lossy encoding requires --model (or quantizer.lossless=true)")
+    bits = args.bits if args.qp is None else quant_bits_for_qp(args.qp)
     _echo_config(config)
     result = pipeline.encode_light_field(
-        lf,
-        model,
-        config,
-        qp=args.qp,
-        quant_bits=args.bits,
-        lossless=lossless,
+        lf, model, config, quant_bits=bits, lossless=lossless
     )
     Path(args.out).write_bytes(result.container)
     print("# encode")

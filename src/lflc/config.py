@@ -5,6 +5,14 @@ sweep.*), no nesting, no quoting. Files may hold blank lines and #-comments.
 Command-line --set entries override file entries, and everything funnels
 through the same schema: unknown keys are rejected up front and values are
 validated by the stage configs themselves before any computation starts.
+Settings that no caller varies are module constants, not keys: the solver's
+first step and backtrack limit (layers.INITIAL_STEP, layers.MAX_BACKTRACKS),
+the WBI alternation limit and stopping tolerance (wbi.MAX_ALTERNATIONS,
+wbi.REL_TOLERANCE) and one contrastive-divergence step per RBM update.
+
+The QP scale lives here too: the sweep's quality parameter maps onto the
+quantizer depth by quant_bits_for_qp, and DEFAULT_QP_GRID holds one QP per
+depth from 14 bits down to 3.
 """
 
 from __future__ import annotations
@@ -15,11 +23,11 @@ from .bitstream import check_quant_bits
 from .dbn import DbnConfig
 from .errors import ConfigError
 from .layers import DEFAULT_DEPTHS, SolverConfig
-from .metrics import DEFAULT_QP_GRID
 from .wbi import WbiConfig
 
 MIN_QP = 2
 MAX_QP = 48
+DEFAULT_QP_GRID = (2, 6, 10, 14, 18, 22, 26, 32, 36, 40, 44, 48)
 
 
 def quant_bits_for_qp(qp: int) -> int:
@@ -82,13 +90,9 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 _SCHEMA = {
     "solver.depths": ("pipeline", "depths", _parse_ints),
     "solver.max_iterations": ("solver", "max_iterations", int),
-    "solver.step_size": ("solver", "step_size", float),
-    "solver.backtracks": ("solver", "backtracks", int),
     "solver.tolerance": ("solver", "tolerance", float),
     "wbi.components": ("wbi", "components", int),
     "wbi.partition": ("wbi", "partition", _parse_ints),
-    "wbi.max_alternations": ("wbi", "max_alternations", int),
-    "wbi.tolerance": ("wbi", "tolerance", float),
     "wbi.ridge": ("wbi", "ridge", float),
     "wbi.seed": ("wbi", "seed", int),
     "dbn.layer_sizes": ("dbn", "layer_sizes", _parse_ints),
@@ -99,7 +103,6 @@ _SCHEMA = {
     "dbn.learning_rate": ("dbn", "learning_rate", float),
     "dbn.momentum": ("dbn", "momentum", float),
     "dbn.batch_size": ("dbn", "batch_size", int),
-    "dbn.cd_steps": ("dbn", "cd_steps", int),
     "dbn.seed": ("dbn", "seed", int),
     "dbn.allow_any_sizes": ("dbn", "allow_any_sizes", _parse_bool),
     "quantizer.bits": ("pipeline", "quant_bits", int),

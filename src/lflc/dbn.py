@@ -227,7 +227,6 @@ class DbnConfig:
     learning_rate: float = 0.05
     momentum: float = 0.5
     batch_size: int = 64
-    cd_steps: int = 1
     seed: int = 11
     allow_any_sizes: bool = False  # lifts the F2 dominance rule below
 
@@ -250,8 +249,6 @@ class DbnConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.cd_steps < 1:
-            raise ValueError("cd_steps must be >= 1")
         if self.variance_threshold < 0:
             raise ValueError("variance_threshold must be >= 0")
 
@@ -262,7 +259,7 @@ def _minibatches(count: int, batch_size: int, rng) -> list[np.ndarray]:
 
 
 def pretrain_stack(data, config: DbnConfig) -> list[RbmParams]:
-    """Greedy layer-by-layer CD pretraining of the encoder RBM chain.
+    """Greedy layer-by-layer CD-1 pretraining of the encoder RBM chain.
 
     Each trained RBM's hidden probabilities become the visible data of the
     next layer. With epochs = 0 the seeded initial parameters come back
@@ -281,7 +278,6 @@ def pretrain_stack(data, config: DbnConfig) -> list[RbmParams]:
                 params, state = cd_update(
                     params,
                     visible[index],
-                    k=config.cd_steps,
                     lr=config.learning_rate,
                     momentum=config.momentum,
                     rng=rng,

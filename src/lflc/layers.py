@@ -36,6 +36,8 @@ from .lightfield import LightField, angular_offset
 from .pnm import read_pnm, write_pnm
 
 DEFAULT_DEPTHS = (-1, 0, 1)
+INITIAL_STEP = 1.0  # first trial step of the projected gradient descent
+MAX_BACKTRACKS = 30  # step halvings per iteration before the solve stops
 
 
 @dataclass(frozen=True)
@@ -80,15 +82,11 @@ class LayerStack:
 @dataclass(frozen=True)
 class SolverConfig:
     max_iterations: int = 500
-    step_size: float = 1.0
-    backtracks: int = 30
     tolerance: float = 1e-9
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
         if self.tolerance < 0:
             raise ValueError("tolerance must be >= 0")
 
@@ -193,7 +191,6 @@ def adjoint_scatter(
     mask: np.ndarray,
     depths,
     spatial_dims: tuple[int, int],
-    channels: int | None = None,
 ) -> np.ndarray:
     """Exact adjoint of the masked render operator.
 
@@ -208,8 +205,6 @@ def adjoint_scatter(
     C, T, S, h, w = residual.shape
     if (h, w) != (H, W) or mask.shape != (T, S, H, W):
         raise ValueError("residual/mask shapes inconsistent with geometry")
-    if channels is not None and channels != C:
-        raise ValueError(f"expected {channels} channels, got {C}")
     depths = tuple(int(d) for d in depths)
 
     masked = residual * mask[None, :, :, :, :]
@@ -231,15 +226,15 @@ def optimize_layers(
 
     Minimizes half the squared error over the valid mask, projecting each
     layer onto [0, 1/K] after every step. The step size starts at
-    config.step_size, is halved until an iteration does not increase the
-    loss, and grows again after accepted steps, so the recorded loss history
-    is non-increasing. Returns the stack and the loss per accepted iterate.
+    INITIAL_STEP, is halved (at most MAX_BACKTRACKS times) until an iteration
+    does not increase the loss, and doubles after accepted steps, so the
+    recorded loss history is non-increasing. Depths default to the centred
+    offsets -(K // 2) .. K - K // 2 - 1. Returns the stack and the loss per
+    accepted iterate.
     """
     config = config or SolverConfig()
     if depths is None:
-        depths = DEFAULT_DEPTHS if layer_count == 3 else tuple(
-            range(-(layer_count // 2), layer_count - layer_count // 2)
-        )
+        depths = range(-(layer_count // 2), layer_count - layer_count // 2)
     depths = tuple(int(d) for d in depths)
     if len(depths) != layer_count:
         raise ValueError(f"{len(depths)} depths for layer_count={layer_count}")
@@ -268,11 +263,11 @@ def optimize_layers(
 
     diff, loss = residual_and_loss(images)
     history = [loss]
-    step = config.step_size
+    step = INITIAL_STEP
     for _ in range(config.max_iterations):
         grad = adjoint_scatter(diff, mask, depths, (W, H))  # masks diff itself
         accepted = False
-        for _ in range(config.backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             candidate = np.clip(images + step * grad, 0.0, bound)
             cand_diff, cand_loss = residual_and_loss(candidate)
             if cand_loss <= loss:

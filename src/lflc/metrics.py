@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import pipeline
 from .bitstream import bits_per_pixel
+from .config import quant_bits_for_qp
 from .lightfield import LightField, psnr_masked
-
-DEFAULT_QP_GRID = (2, 6, 10, 14, 18, 22, 26, 28, 32, 36, 40, 44, 48)
 
 
 @dataclass(frozen=True)
@@ -102,18 +102,25 @@ def rd_sweep(
 ) -> list[tuple[int, RdPoint]]:
     """Encode/decode the light field at each quality and measure (bpp, PSNR).
 
-    Quality settings may run on parallel workers; each setting's encode is
-    fully deterministic, and rows come back sorted by rate, so the output is
-    independent of worker count and completion order.
+    Every quality maps to its quantizer depth before any encode starts; two
+    qualities on one depth would code the same rate twice, which the BD fit
+    rejects, so they raise ValueError up front. Quality settings may run on
+    parallel workers; each setting's encode is fully deterministic, and rows
+    come back sorted by rate, so the output is independent of worker count
+    and completion order.
     """
-    from . import pipeline  # local import keeps module load cycle-free
-
     qualities = tuple(qualities if qualities is not None else config.qualities)
     if not qualities:
         raise ValueError("quality list is empty")
+    bits = {qp: quant_bits_for_qp(qp) for qp in qualities}
+    if len(set(bits.values())) < len(qualities):
+        raise ValueError(
+            f"qualities {qualities} repeat a quantizer depth: "
+            f"{[bits[qp] for qp in qualities]} bits"
+        )
 
     def measure(qp: int) -> tuple[int, RdPoint]:
-        encoded = pipeline.encode_light_field(lf, model, config, qp=qp)
+        encoded = pipeline.encode_light_field(lf, model, config, quant_bits=bits[qp])
         decoded = pipeline.decode_light_field(encoded.container, model)
         rate = bits_per_pixel_of(encoded.container, lf)
         quality = psnr_masked(lf.samples, decoded.light_field.samples, decoded.mask)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bitstream, dbn, wbi
-from .config import PipelineConfig, default_config, quant_bits_for_qp
+from .config import PipelineConfig, default_config
 from .errors import ContainerError, DataError
 from .layers import LayerStack, optimize_layers, render_additive
 from .lightfield import LightField
@@ -118,18 +118,12 @@ def encode_light_field(
     lf: LightField,
     model: dbn.Autoencoder | None,
     config: PipelineConfig | None = None,
-    qp: int | None = None,
     quant_bits: int | None = None,
     lossless: bool | None = None,
 ) -> EncodeResult:
-    """Run the full encoder; quality comes from qp, quant_bits, or config."""
+    """Run the full encoder; quant_bits and lossless override the config."""
     config = config or default_config()
-    if qp is not None and quant_bits is not None:
-        raise ValueError("give qp or quant_bits, not both")
-    if qp is not None:
-        bits = quant_bits_for_qp(qp)
-    else:
-        bits = config.quant_bits if quant_bits is None else quant_bits
+    bits = config.quant_bits if quant_bits is None else quant_bits
     bitstream.check_quant_bits(bits)
     lossless = config.lossless if lossless is None else lossless
     if model is None and not lossless:

@@ -15,11 +15,13 @@ holding only the first m groups still reconstructs a coherent approximation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 MAX_SEARCH_CAP = 8  # exhaustive search is 2^cap candidates per stack index
+MAX_ALTERNATIONS = 50  # basis/code solve pairs per level
+REL_TOLERANCE = 1e-7  # stop once the residual improves by less than this share
 
 
 def _as_stack(target) -> np.ndarray:
@@ -35,8 +37,6 @@ def _as_stack(target) -> np.ndarray:
 class WbiConfig:
     components: int = 4
     partition: tuple[int, ...] = (2, 2)
-    max_alternations: int = 50
-    tolerance: float = 1e-7
     ridge: float = 1e-8
     seed: int = 7
 
@@ -53,10 +53,8 @@ class WbiConfig:
             raise ValueError(
                 f"group sizes {partition} exceed search cap {MAX_SEARCH_CAP}"
             )
-        if self.max_alternations < 1:
-            raise ValueError("max_alternations must be >= 1")
-        if self.ridge < 0 or self.tolerance < 0:
-            raise ValueError("ridge and tolerance must be >= 0")
+        if self.ridge < 0:
+            raise ValueError("ridge must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -179,7 +177,8 @@ def alternate_minimize(
     norm history (starting from the zero-basis residual) is kept monotone
     non-increasing by reverting the final alternation if the tiny ridge term
     ever nudges the residual upward. Stops when codes repeat, the relative
-    residual change drops below tolerance, or max_alternations is reached.
+    residual change drops to REL_TOLERANCE or below, or MAX_ALTERNATIONS is
+    reached.
     """
     config = config or WbiConfig()
     stack = _as_stack(target)
@@ -193,7 +192,7 @@ def alternate_minimize(
     codes = (rng.random((n_act, J)) < 0.5).astype(np.uint8)
     basis = np.zeros((n_act,) + stack.shape[1:], dtype=np.float64)
     history = [float(np.linalg.norm(stack_flat))]
-    for _ in range(config.max_alternations):
+    for _ in range(MAX_ALTERNATIONS):
         new_basis = solve_basis(stack, codes, ridge=config.ridge)
         new_codes = solve_codes(stack, new_basis)
         resid = _residual_norm(stack_flat, new_codes, new_basis.reshape(n_act, -1))
@@ -205,7 +204,7 @@ def alternate_minimize(
         history.append(resid)
         if unchanged:
             break
-        if prev - resid <= config.tolerance * max(prev, 1e-300):
+        if prev - resid <= REL_TOLERANCE * max(prev, 1e-300):
             break
     return codes, basis, history
 
@@ -225,13 +224,8 @@ def encode_scalable(target, config: WbiConfig | None = None) -> WbiCode:
     levels = []
     next_component = 0
     for m, size in enumerate(config.partition):
-        level_config = WbiConfig(
-            components=size,
-            partition=(size,),
-            max_alternations=config.max_alternations,
-            tolerance=config.tolerance,
-            ridge=config.ridge,
-            seed=config.seed + m,
+        level_config = replace(
+            config, components=size, partition=(size,), seed=config.seed + m
         )
         codes, basis, history = alternate_minimize(residual, size, level_config)
         level = WbiLevel(

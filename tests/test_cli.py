@@ -234,6 +234,19 @@ class TestSweepAndBd:
         assert len(saved.splitlines()) == 4
         assert "plot" in plot_path.read_text()
 
+    def test_sweep_with_repeated_depth_exits_2(self, workdir, tmp_path):
+        csv_path = tmp_path / "sweep.csv"
+        args = [
+            "sweep",
+            "--manifest", workdir["manifest"],
+            "--model", workdir["model"],
+            "--config", workdir["config"],
+            "--qualities", "26,28",
+            "--csv", str(csv_path),
+        ]
+        assert main(args) == DATA_EXIT
+        assert not csv_path.exists()
+
     def test_gnuplot_requires_csv(self, workdir, tmp_path):
         args = [
             "sweep",

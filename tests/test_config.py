@@ -3,6 +3,7 @@
 import pytest
 
 from lflc.config import (
+    DEFAULT_QP_GRID,
     MAX_QP,
     MIN_QP,
     PipelineConfig,
@@ -14,13 +15,13 @@ from lflc.config import (
     resolve_config,
 )
 from lflc.errors import ConfigError
-from lflc.metrics import DEFAULT_QP_GRID
 
 
 class TestQpMapping:
     def test_pinned_grid(self):
+        # one QP per quantizer depth, 14 bits down to 3, none repeated
         bits = [quant_bits_for_qp(qp) for qp in DEFAULT_QP_GRID]
-        assert bits == [14, 13, 12, 11, 10, 9, 8, 8, 7, 6, 5, 4, 3]
+        assert bits == [14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3]
 
     def test_endpoints(self):
         assert quant_bits_for_qp(MIN_QP) == 14
@@ -121,7 +122,7 @@ class TestFormatConfig:
     def test_echo_parses_back_to_same_config(self):
         config = resolve_config(
             {
-                "solver.step_size": "0.75",
+                "dbn.learning_rate": "0.075",
                 "wbi.seed": "21",
                 "dbn.variance_threshold": "0.002",
                 "sweep.qualities": "2,26,48",
@@ -138,8 +139,15 @@ class TestFormatConfig:
         assert "solver.max_iterations" in keys
         assert "dbn.allow_any_sizes" in keys
         assert "quantizer.lossless" in keys
-        assert len(keys) == len(lines) == 25
+        assert len(keys) == len(lines) == 20
         assert not keys & {"solver.seed", "solver.random_init", "wbi.search_cap"}
+        assert not keys & {
+            "solver.step_size",
+            "solver.backtracks",
+            "wbi.max_alternations",
+            "wbi.tolerance",
+            "dbn.cd_steps",
+        }
 
 
 class TestPipelineConfig:

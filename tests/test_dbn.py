@@ -678,5 +678,3 @@ class TestDbnConfig:
             DbnConfig(patch=1)
         with pytest.raises(ValueError):
             DbnConfig(epochs=-1)
-        with pytest.raises(ValueError):
-            DbnConfig(cd_steps=0)

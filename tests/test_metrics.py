@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import centered_depths, random_truth_field
-from lflc.config import PipelineConfig
+from lflc import metrics
+from lflc.config import DEFAULT_QP_GRID, PipelineConfig
 from lflc.dbn import Autoencoder, DbnConfig
 from lflc.layers import SolverConfig
 from lflc.metrics import (
     BdResult,
-    DEFAULT_QP_GRID,
     RdPoint,
     bd_metrics,
     bd_report,
@@ -168,7 +168,7 @@ class TestCsv:
             read_sweep_csv("quality,bpp,psnr_db\n10,0.25\n")
 
     def test_default_grid_spans_qp_range(self):
-        assert DEFAULT_QP_GRID == (2, 6, 10, 14, 18, 22, 26, 28, 32, 36, 40, 44, 48)
+        assert DEFAULT_QP_GRID == (2, 6, 10, 14, 18, 22, 26, 32, 36, 40, 44, 48)
 
 
 class TestReports:
@@ -235,3 +235,22 @@ class TestRdSweep:
         )
         with pytest.raises(ValueError):
             rd_sweep(lf, None, config, qualities=())
+
+    def test_repeated_depth_rejected_before_any_solve(self, monkeypatch):
+        rng = np.random.default_rng(64)
+        lf, _, _ = random_truth_field(
+            rng, layer_count=2, height=8, width=8, views=(3, 3)
+        )
+        config = PipelineConfig(
+            solver=SolverConfig(max_iterations=2),
+            wbi=WbiConfig(components=2, partition=(1, 1)),
+            dbn=DbnConfig(layer_sizes=(6, 8, 4, 2), patch=4, allow_any_sizes=True),
+            depths=centered_depths(2),
+        )
+        solves = []
+        monkeypatch.setattr(
+            metrics.pipeline, "optimize_layers", lambda *a, **k: solves.append(a)
+        )
+        with pytest.raises(ValueError, match="repeat a quantizer depth"):
+            rd_sweep(lf, None, config, qualities=(26, 28))  # both 8 bits
+        assert solves == []

@@ -110,6 +110,39 @@ class TestLossless:
         assert a.container == b.container
 
 
+# header offsets: magic and version/flags take 8 bytes, then S, T, W, H,
+# channels, the layer count and the K depths as 4-byte little-endian fields
+_HEADER_PATCHES = {
+    "repeated_depth": (32, "<3i", (0, 0, 1)),
+    "decreasing_depths": (32, "<3i", (1, 0, -1)),
+    "no_columns": (8, "<I", (0,)),  # S = 0
+    "no_rows": (12, "<I", (0,)),  # T = 0
+}
+
+
+class TestHeaderGeometry:
+    @pytest.fixture(scope="class")
+    def containers(self, field):
+        lf, _ = field
+        config = small_config(layers=3)
+        model = random_model(np.random.default_rng(84))
+        return {
+            True: (encode_light_field(lf, None, config, lossless=True).container, None),
+            False: (encode_light_field(lf, model, config, quant_bits=8).container, model),
+        }
+
+    @pytest.mark.parametrize("lossless", [True, False], ids=["lossless", "lossy"])
+    @pytest.mark.parametrize("patch", list(_HEADER_PATCHES))
+    def test_bad_geometry_is_data_error(self, containers, lossless, patch):
+        container, model = containers[lossless]
+        offset, layout, values = _HEADER_PATCHES[patch]
+        data = bytearray(container)
+        assert struct.unpack_from("<I", data, 28) == (3,)  # three layer depths
+        struct.pack_into(layout, data, offset, *values)
+        with pytest.raises(DataError):
+            decode_light_field(bytes(data), model)
+
+
 class TestLossy:
     def test_roundtrip_and_levels(self, field):
         lf, _ = field
@@ -127,7 +160,7 @@ class TestLossy:
     def test_progressive_prefix_decodes(self, field):
         lf, _ = field
         model = random_model(np.random.default_rng(74))
-        encoded = encode_light_field(lf, model, small_config(), qp=26)
+        encoded = encode_light_field(lf, model, small_config(), quant_bits=8)
         short = truncate_container(encoded.container, 1)
         decoded = decode_light_field(short, model)
         assert decoded.levels_used == 1
@@ -139,17 +172,11 @@ class TestLossy:
     def test_layer_images_respect_bound(self, field):
         lf, _ = field
         model = random_model(np.random.default_rng(75))
-        encoded = encode_light_field(lf, model, small_config(), qp=26)
+        encoded = encode_light_field(lf, model, small_config(), quant_bits=8)
         decoded = decode_light_field(encoded.container, model)
         bound = decoded.header.layer_bound
         assert decoded.layers.images.min() >= 0.0
         assert decoded.layers.images.max() <= bound + 1e-12
-
-    def test_qp_and_bits_are_exclusive(self, field):
-        lf, _ = field
-        model = random_model(np.random.default_rng(76))
-        with pytest.raises(ValueError):
-            encode_light_field(lf, model, small_config(), qp=26, quant_bits=8)
 
     @pytest.mark.parametrize("bits", [0, 1, 17])
     def test_out_of_range_bits_rejected(self, field, bits):
@@ -181,9 +208,9 @@ class TestLossy:
     def test_lossy_requires_model_both_ways(self, field):
         lf, _ = field
         with pytest.raises(DataError):
-            encode_light_field(lf, None, small_config(), qp=26)
+            encode_light_field(lf, None, small_config(), quant_bits=8)
         model = random_model(np.random.default_rng(77))
-        encoded = encode_light_field(lf, model, small_config(), qp=26)
+        encoded = encode_light_field(lf, model, small_config(), quant_bits=8)
         with pytest.raises(DataError):
             decode_light_field(encoded.container, model=None)
 
@@ -191,14 +218,14 @@ class TestLossy:
         lf, _ = field
         model = random_model(np.random.default_rng(78))
         other = random_model(np.random.default_rng(79), sizes=(6, 8, 4, 3))
-        encoded = encode_light_field(lf, model, small_config(), qp=26)
+        encoded = encode_light_field(lf, model, small_config(), quant_bits=8)
         with pytest.raises(DataError):
             decode_light_field(encoded.container, other)
 
     def test_timings_cover_all_stages(self, field):
         lf, _ = field
         model = random_model(np.random.default_rng(80))
-        encoded = encode_light_field(lf, model, small_config(), qp=26)
+        encoded = encode_light_field(lf, model, small_config(), quant_bits=8)
         assert set(encoded.timings) == {"layers", "wbi", "latent", "container"}
         assert all(t >= 0.0 for t in encoded.timings.values())
         assert encoded.bits_per_pixel > 0.0
