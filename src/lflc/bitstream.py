@@ -8,7 +8,9 @@ code matrix plus the entropy-coded quantized latent codes of that level's
 basis images (or the raw 64-bit images in lossless mode). A byte prefix of
 the container that ends on a section boundary is itself a valid container
 for the levels it covers, which is the whole point of the format. The reader
-rejects an empty view grid, layer depths that are not strictly increasing,
+rejects an empty view grid, more than MAX_VIEWS_PER_AXIS views along either
+axis or more than MAX_FIELD_SAMPLES light-field samples (both before it sizes
+anything from the header), layer depths that are not strictly increasing,
 non-finite or inverted (min > max) normalization records, non-finite raw
 basis samples and entropy streams other than the exact bytes the encoder
 writes for their symbols with a ContainerError (a stream too short for its
@@ -33,6 +35,8 @@ MAGIC = b"LFLC"
 VERSION = 1
 MIN_QUANT_BITS = 2
 MAX_QUANT_BITS = 16
+MAX_VIEWS_PER_AXIS = 64  # S and T
+MAX_FIELD_SAMPLES = 1 << 24  # C * S * T * H * W
 
 _STATE_BITS = 32
 _STATE_MASK = (1 << _STATE_BITS) - 1
@@ -51,6 +55,22 @@ def check_quant_bits(bits: int) -> None:
     if not MIN_QUANT_BITS <= bits <= MAX_QUANT_BITS:
         raise ValueError(
             f"quantizer bits must be in [{MIN_QUANT_BITS}, {MAX_QUANT_BITS}], got {bits}"
+        )
+
+
+def check_field_size(angular_dims, spatial_dims, channels: int) -> None:
+    """Raise ValueError unless a (S, T) x (W, H) x channels light field fits
+    the container: at most MAX_VIEWS_PER_AXIS views along each axis and at
+    most MAX_FIELD_SAMPLES samples in all."""
+    (S, T), (W, H) = angular_dims, spatial_dims
+    if max(S, T) > MAX_VIEWS_PER_AXIS:
+        raise ValueError(
+            f"view grid {S}x{T} exceeds {MAX_VIEWS_PER_AXIS} views per axis"
+        )
+    if channels * S * T * H * W > MAX_FIELD_SAMPLES:
+        raise ValueError(
+            f"{channels}x{S}x{T}x{W}x{H} light field exceeds "
+            f"{MAX_FIELD_SAMPLES} samples"
         )
 
 
@@ -304,6 +324,10 @@ def _parse_header(cursor: _Cursor) -> ContainerHeader:
     if version != VERSION:
         raise ContainerError(f"unsupported container version {version}")
     S, T, W, H, channels = cursor.unpack("<5I", "dimensions")
+    try:
+        check_field_size((S, T), (W, H), channels)
+    except ValueError as exc:
+        raise ContainerError(str(exc)) from None
     (layer_count,) = cursor.unpack("<I", "layer count")
     depths = cursor.unpack(f"<{layer_count}i", "depths")
     (layer_bound,) = cursor.unpack("<d", "layer bound")

@@ -12,13 +12,14 @@ solution of a box-constrained least-squares problem, solved here by
 projected gradient descent with backtracking.
 
 Render, adjoint and solver share one geometry per (depths, S, T, H, W),
-built once and memoised by `_geometry`: the in-range shift window of every
-(view, layer) pair, the read-only validity mask and its flat indices.
-Render adds each layer once, in layer order, as a copy-free strided view of
-the zero-padded layer, so every sample sums the same terms in the same
-order as a per-view loop would. The adjoint scatters through the same
-windows, and the solver gathers each candidate's loss through the flat
-indices and reuses the accepted candidate's residual for the next gradient.
+built once and memoised by `_geometry`. In each view the mask is the
+intersection of K shifted rectangles, so the geometry keeps the read-only
+mask, its one rectangle per view and a strided read plan per layer. Render
+adds each layer once, in layer order, as a copy-free strided view of the
+zero-padded layer, so every sample sums the same terms in the same order as
+a per-view loop would. The adjoint adds each view's rectangle of the
+residual to every layer, and the solver gathers each candidate's loss over
+the same rectangles, in the order of `x[:, mask]`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 from .lightfield import LightField, angular_offset
@@ -95,68 +95,71 @@ class _Geometry(NamedTuple):
     """Where the layers of one (depths, S, T, H, W) land in each view.
 
     Built once per key by `_geometry` and shared by render, adjoint and
-    solver; its arrays are read-only.
+    solver; its mask is read-only. In each view the mask is one rectangle,
+    the intersection of the K layers' in-range windows, so the list of
+    view rectangles holds all of it.
     """
 
-    windows: tuple  # (t, s, k, v0, v1, u0, u1, sy, sx) per non-empty window
     mask: np.ndarray  # (T, S, H, W) bool: every layer lookup in range
-    index: np.ndarray  # np.flatnonzero(mask)
+    rects: tuple  # (t, s, top, bottom, left, right) per non-empty view, (t, s) order
+    offsets: tuple  # (angular offset of each view row t, of each view column s)
     pad: tuple[int, int]  # zero margin (rows, cols) around a layer in render
-    reads: tuple  # per layer: (views t, views s, window rows, window cols)
-
-
-def _step_slice(start: int, step: int, count: int) -> slice:
-    """The basic slice start, start + step, ... of `count` indices; a zero
-    step gives the one index `start`, which broadcasts over the views."""
-    if step == 0:
-        return slice(start, start + 1)
-    stop = start + step * count
-    return slice(start, stop if stop >= 0 else None, step)
+    # per layer: (views t, views s, offset of the first view's window, step
+    # per view t, step per view s), counted in samples of a padded layer plane
+    reads: tuple
 
 
 @functools.lru_cache(maxsize=32)
 def _geometry(depths: tuple[int, ...], S: int, T: int, H: int, W: int) -> _Geometry:
-    offsets_s = [angular_offset(s, S) for s in range(S)]
-    offsets_t = [angular_offset(t, T) for t in range(T)]
-    windows = []
+    offsets_t = tuple(angular_offset(t, T) for t in range(T))
+    offsets_s = tuple(angular_offset(s, S) for s in range(S))
+    rects = []
     mask = np.zeros((T, S, H, W), dtype=bool)
     for ti, a_t in enumerate(offsets_t):
         for si, a_s in enumerate(offsets_s):
             top, bottom, left, right = 0, H, 0, W
-            for ki, d in enumerate(depths):
-                sy, sx = d * a_t, d * a_s
-                v0, v1 = max(0, -sy), min(H, H - sy)
-                u0, u1 = max(0, -sx), min(W, W - sx)
-                if v0 < v1 and u0 < u1:
-                    windows.append((ti, si, ki, v0, v1, u0, u1, sy, sx))
-                top, bottom = max(top, v0), min(bottom, v1)
-                left, right = max(left, u0), min(right, u1)
+            for d in depths:
+                top, bottom = max(top, -d * a_t), min(bottom, H - d * a_t)
+                left, right = max(left, -d * a_s), min(right, W - d * a_s)
             if top < bottom and left < right:
+                rects.append((ti, si, top, bottom, left, right))
                 mask[ti, si, top:bottom, left:right] = True
-    index = np.flatnonzero(mask)
     mask.flags.writeable = False
-    index.flags.writeable = False
 
-    # Render reads layer k for view (t, s) from the window at (pad_y + d*a_t,
-    # pad_x + d*a_s) of the zero-padded layer. The margin is capped at the
-    # image size so that a huge depth costs no memory: the views it shifts
-    # past the margin see none of the layer and are left out of its add.
+    # Render reads layer k for view (t, s) from the H x W window at
+    # (pad_y + d*a_t, pad_x + d*a_s) of the zero-padded layer, as one strided
+    # view over the views; a zero depth reads the same window in every view.
+    # The margin is capped at the image size so that a huge depth costs no
+    # memory: the views it shifts past the margin see none of the layer and
+    # are left out of its add.
     reach = max((abs(d) for d in depths), default=0)
     pad_y = min(reach * max(abs(a) for a in offsets_t), H)
     pad_x = min(reach * max(abs(a) for a in offsets_s), W)
+    cols = W + 2 * pad_x
     reads = []
     for d in depths:
         span_t = pad_y // abs(d) if d else T
         span_s = pad_x // abs(d) if d else S
         t0, t1 = max(0, T // 2 - span_t), min(T, T // 2 + span_t + 1)
         s0, s1 = max(0, S // 2 - span_s), min(S, S // 2 + span_s + 1)
-        reads.append((
-            slice(t0, t1),
-            slice(s0, s1),
-            _step_slice(pad_y + d * offsets_t[t0], d, t1 - t0),
-            _step_slice(pad_x + d * offsets_s[s0], d, s1 - s0),
-        ))
-    return _Geometry(tuple(windows), mask, index, (pad_y, pad_x), tuple(reads))
+        first = (pad_y + d * offsets_t[t0]) * cols + pad_x + d * offsets_s[s0]
+        reads.append((slice(t0, t1), slice(s0, s1), first, d * cols, d))
+    return _Geometry(
+        mask, tuple(rects), (offsets_t, offsets_s), (pad_y, pad_x), tuple(reads)
+    )
+
+
+def _rect_copies(rects, buffer: np.ndarray) -> list:
+    """(destination, source index) pairs that copy the view rectangles of a
+    (C, T, S, H, W) field into the (C, n) buffer, in the order of
+    field[:, mask]."""
+    copies, start = [], 0
+    for t, s, top, bottom, left, right in rects:
+        rows, cols = bottom - top, right - left
+        dest = buffer[:, start : start + rows * cols].reshape(-1, rows, cols)
+        copies.append((dest, (slice(None), t, s, slice(top, bottom), slice(left, right))))
+        start += rows * cols
+    return copies
 
 
 def render_additive(
@@ -174,15 +177,22 @@ def render_additive(
     K, C, H, W = stack.images.shape
     geometry = _geometry(stack.depths, S, T, H, W)
     pad_y, pad_x = geometry.pad
-    padded = np.zeros((K, C, H + 2 * pad_y, W + 2 * pad_x))
+    rows, cols = H + 2 * pad_y, W + 2 * pad_x
+    padded = np.zeros((K, C, rows, cols))
     padded[:, :, pad_y : pad_y + H, pad_x : pad_x + W] = stack.images
 
     # One add per layer, in layer order, so every sample sums its in-range
     # lookups in the same order; an out-of-range lookup adds an exact zero.
     out = np.zeros((C, T, S, H, W), dtype=np.float64)
-    for k, (views_t, views_s, rows, cols) in enumerate(geometry.reads):
-        shifted = sliding_window_view(padded[k], (H, W), axis=(1, 2))
-        out[:, views_t, views_s] += shifted[:, rows, cols]
+    item = padded.itemsize
+    for k, (views_t, views_s, first, step_t, step_s) in enumerate(geometry.reads):
+        shifted = np.ndarray(
+            (C, views_t.stop - views_t.start, views_s.stop - views_s.start, H, W),
+            buffer=padded,
+            offset=item * (k * C * rows * cols + first),
+            strides=(item * rows * cols, item * step_t, item * step_s, item * cols, item),
+        )
+        out[:, views_t, views_s] += shifted
     return out, geometry.mask.copy()
 
 
@@ -197,22 +207,31 @@ def adjoint_scatter(
     Scatters each valid residual sample back onto every layer position that
     contributed to it: grad_k(x, y) accumulates residual(u, v, s, t) over
     all valid samples with x = u + d_k*a_s, y = v + d_k*a_t. Satisfies
-    <render(P) * mask, L> == <P, adjoint_scatter(L * mask)>.
+    <render(P) * mask, L> == <P, adjoint_scatter(L, mask)>; samples outside
+    the mask are never read. `mask` must be the mask render returns for
+    this geometry.
     """
     W, H = spatial_dims
     if residual.ndim != 5:
         raise ValueError(f"residual must be (C, T, S, H, W), got {residual.shape}")
     C, T, S, h, w = residual.shape
-    if (h, w) != (H, W) or mask.shape != (T, S, H, W):
-        raise ValueError("residual/mask shapes inconsistent with geometry")
+    if (h, w) != (H, W):
+        raise ValueError("residual shape inconsistent with geometry")
     depths = tuple(int(d) for d in depths)
+    geometry = _geometry(depths, S, T, H, W)
+    if not np.array_equal(mask, geometry.mask):
+        raise ValueError("mask is not the validity mask of this geometry")
 
-    masked = residual * mask[None, :, :, :, :]
+    # Each layer adds the views' rectangles in view order, the order in which
+    # a scatter of the whole masked field would add its non-zero samples.
+    offsets_t, offsets_s = geometry.offsets
     grad = np.zeros((len(depths), C, H, W), dtype=np.float64)
-    for ti, si, ki, v0, v1, u0, u1, sy, sx in _geometry(depths, S, T, H, W).windows:
-        grad[ki, :, v0 + sy : v1 + sy, u0 + sx : u1 + sx] += masked[
-            :, ti, si, v0:v1, u0:u1
-        ]
+    for layer, d in zip(grad, depths):
+        for t, s, top, bottom, left, right in geometry.rects:
+            sy, sx = d * offsets_t[t], d * offsets_s[s]
+            layer[:, top + sy : bottom + sy, left + sx : right + sx] += residual[
+                :, t, s, top:bottom, left:right
+            ]
     return grad
 
 
@@ -249,34 +268,40 @@ def optimize_layers(
     _, mask = render_additive(zero_stack, (S, T))
     if not mask.any():
         raise DataError("geometry shifts every sample out of range (empty mask)")
-    index = _geometry(depths, S, T, H, W).index
+
+    # The loss is half the squared norm of (target - rendered)[:, mask]. Each
+    # candidate's render is copied over the mask's view rectangles into one
+    # buffer, in that order, and subtracted from the target in place.
+    goal = target.samples[:, mask]
+    kept = np.empty(goal.shape)  # C order, so that kept_flat is a view
+    copies = _rect_copies(_geometry(depths, S, T, H, W).rects, kept)
+    kept_flat = kept.reshape(-1)
+
+    def render_and_loss(imgs):
+        """A candidate's render and half its squared error over the mask."""
+        rendered, _ = render_additive(LayerStack(depths, imgs), (S, T))
+        for dest, source in copies:
+            dest[...] = rendered[source]
+        np.subtract(goal, kept, out=kept)
+        return rendered, 0.5 * float(np.dot(kept_flat, kept_flat))
 
     images = np.full((layer_count, C, H, W), float(target.samples.mean()) / layer_count)
-
-    def residual_and_loss(imgs):
-        """Unmasked residual of a candidate and half its squared norm over
-        the mask, gathered in the order of (target - rendered)[:, mask]."""
-        rendered, _ = render_additive(LayerStack(depths, imgs), (S, T))
-        diff = target.samples - rendered
-        kept = np.take(diff.reshape(C, -1), index, axis=1).ravel()
-        return diff, 0.5 * float(np.dot(kept, kept))
-
-    diff, loss = residual_and_loss(images)
+    rendered, loss = render_and_loss(images)
     history = [loss]
     step = INITIAL_STEP
     for _ in range(config.max_iterations):
-        grad = adjoint_scatter(diff, mask, depths, (W, H))  # masks diff itself
+        grad = adjoint_scatter(target.samples - rendered, mask, depths, (W, H))
         accepted = False
         for _ in range(MAX_BACKTRACKS + 1):
             candidate = np.clip(images + step * grad, 0.0, bound)
-            cand_diff, cand_loss = residual_and_loss(candidate)
+            cand_rendered, cand_loss = render_and_loss(candidate)
             if cand_loss <= loss:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
             break
-        images, diff = candidate, cand_diff
+        images, rendered = candidate, cand_rendered
         prev_loss, loss = loss, cand_loss
         history.append(loss)
         step *= 2.0

@@ -121,10 +121,15 @@ def encode_light_field(
     quant_bits: int | None = None,
     lossless: bool | None = None,
 ) -> EncodeResult:
-    """Run the full encoder; quant_bits and lossless override the config."""
+    """Run the full encoder; quant_bits and lossless override the config.
+
+    A field the container cannot hold (`bitstream.check_field_size`) raises
+    ValueError before the layer solve.
+    """
     config = config or default_config()
     bits = config.quant_bits if quant_bits is None else quant_bits
     bitstream.check_quant_bits(bits)
+    bitstream.check_field_size(lf.angular_dims, lf.spatial_dims, lf.channels)
     lossless = config.lossless if lossless is None else lossless
     if model is None and not lossless:
         raise DataError("lossy encoding requires an autoencoder model")

@@ -1,5 +1,7 @@
 """Additive layer model: render/adjoint pair and the projected solver."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from lflc.layers import (
     render_additive,
     save_layer_stack,
 )
-from lflc.lightfield import angular_offset, psnr_masked
+from lflc.lightfield import LightField, angular_offset, psnr_masked
 
 
 def naive_render(stack: LayerStack, angular_dims):
@@ -60,6 +62,27 @@ def slice_loop_render(stack: LayerStack, angular_dims):
                                      cols.start + sx : cols.stop + sx]
                     )
     return out
+
+
+def window_adjoint(residual, mask, depths, spatial_dims):
+    """The adjoint as a scatter of the whole masked residual: one slice add
+    per in-range (view, layer) window, in (t, s, k) order. The reference for
+    the rectangle scatter of `adjoint_scatter`."""
+    W, H = spatial_dims
+    C, T, S = residual.shape[:3]
+    masked = residual * mask[None, :, :, :, :]
+    grad = np.zeros((len(depths), C, H, W))
+    for t in range(T):
+        for s in range(S):
+            for k, depth in enumerate(depths):
+                sy, sx = depth * angular_offset(t, T), depth * angular_offset(s, S)
+                v0, v1 = max(0, -sy), min(H, H - sy)
+                u0, u1 = max(0, -sx), min(W, W - sx)
+                if v0 < v1 and u0 < u1:
+                    grad[k, :, v0 + sy : v1 + sy, u0 + sx : u1 + sx] += masked[
+                        :, t, s, v0:v1, u0:u1
+                    ]
+    return grad
 
 
 class TestRenderAdditive:
@@ -153,6 +176,86 @@ class TestAdjoint:
         assert np.sum(grad != 0) == 3
         for k, depth in enumerate(stack.depths):
             assert grad[k, 0, v - depth, u + depth] == 1.0
+
+
+@pytest.mark.parametrize("depths", [(-2, 0, 2), (0, 3), (-1, 0, 1, 2)])
+@pytest.mark.parametrize("dims", [(3, 3), (5, 4), (7, 7)])
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("size", [(7, 6), (2, 3)])
+class TestViewRectangles:
+    """The solver's loss gather and the adjoint run over one mask rectangle
+    per view; both must equal the per-sample forms bit for bit."""
+
+    def geometry(self, depths, dims, channels, size):
+        H, W = size
+        S, T = dims
+        rng = np.random.default_rng(len(depths) * 100 + S * 10 + T + channels)
+        field = rng.standard_normal((channels, T, S, H, W))
+        _, mask = render_additive(
+            LayerStack(depths, np.zeros((len(depths), channels, H, W))), dims
+        )
+        return field, mask, layers._geometry(depths, S, T, H, W)
+
+    def test_adjoint_equals_window_scatter(self, depths, dims, channels, size):
+        field, mask, _ = self.geometry(depths, dims, channels, size)
+        H, W = size
+        grad = adjoint_scatter(field, mask, depths, (W, H))
+        assert np.array_equal(grad, window_adjoint(field, mask, depths, (W, H)))
+
+    def test_gather_equals_masked_samples(self, depths, dims, channels, size):
+        field, mask, geometry = self.geometry(depths, dims, channels, size)
+        assert len(geometry.rects) == int(mask.any(axis=(2, 3)).sum())
+        kept = np.full((channels, int(mask.sum())), np.nan)
+        for dest, source in layers._rect_copies(geometry.rects, kept):
+            dest[...] = field[source]
+        assert np.array_equal(kept.ravel(), field[:, mask].ravel())
+
+    def test_adjoint_rejects_a_foreign_mask(self, depths, dims, channels, size):
+        field, mask, _ = self.geometry(depths, dims, channels, size)
+        H, W = size
+        other = mask.copy()
+        other[0, 0, 0, 0] = not other[0, 0, 0, 0]
+        for bad in (other, np.ones_like(mask), mask[:, :, :, :-1]):
+            with pytest.raises(ValueError, match="mask"):
+                adjoint_scatter(field, bad, depths, (W, H))
+
+
+def test_small_images_leave_views_empty():
+    # the (2, 3) images of TestViewRectangles do reach views with no mask
+    _, mask = render_additive(LayerStack((0, 3), np.zeros((2, 1, 2, 3))), (7, 7))
+    assert mask.any() and not mask.any(axis=(2, 3)).all()
+
+
+class TestSolveGolden:
+    """SHA-256 of seeded solves: the layer images and the loss history.
+
+    The digests pin every bit of render, adjoint, loss and step arithmetic;
+    any change to their rounding or summation order moves them.
+    """
+
+    @pytest.mark.parametrize(
+        "channels, views, size, depths, seed, digest",
+        [
+            (1, (5, 5), (12, 10), (-1, 0, 1), 31,
+             "0d5b5542d88477765cce14f0f0da2947c285487389948952f1745745c94faf2d"),
+            (3, (4, 3), (9, 11), (-2, 0, 2), 32,
+             "3cf88cc108ff5fcc4f7f8dbb266fcf52522a67c7e7ded146361257b9e90120ca"),
+            # depth 3 on 6 x 6 images shifts layer 1 past the outer views
+            (1, (5, 5), (6, 6), (0, 3), 33,
+             "a831df604dfd9c94e806d4590173af97ec0dc42c2381a463a76a3c4c76932b91"),
+        ],
+        ids=["gray", "rgb", "past-whole-views"],
+    )
+    def test_digests(self, channels, views, size, depths, seed, digest):
+        (S, T), (H, W) = views, size
+        samples = np.random.default_rng(seed).random((channels, T, S, H, W))
+        stack, history = optimize_layers(
+            LightField(samples), len(depths), depths, SolverConfig(max_iterations=60)
+        )
+        assert len(history) == 61
+        hashed = hashlib.sha256(np.ascontiguousarray(stack.images, dtype="<f8").tobytes())
+        hashed.update(np.asarray(history, dtype="<f8").tobytes())
+        assert hashed.hexdigest() == digest
 
 
 class TestOptimizeLayers:

@@ -1,12 +1,22 @@
 """End-to-end codec paths: lossless exactness, progressive decode, training."""
 
 import struct
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import centered_depths, random_truth_field
-from lflc.bitstream import dequantize, packed_header_size, quantize, truncate_container
+from lflc import pipeline
+from lflc.bitstream import (
+    MAX_FIELD_SAMPLES,
+    check_field_size,
+    dequantize,
+    packed_header_size,
+    quantize,
+    truncate_container,
+)
 from lflc.config import PipelineConfig, default_config
 from lflc.dbn import (
     Autoencoder,
@@ -18,7 +28,7 @@ from lflc.dbn import (
 )
 from lflc.errors import DataError
 from lflc.layers import SolverConfig
-from lflc.lightfield import psnr_masked
+from lflc.lightfield import LightField, psnr_masked
 from lflc.pipeline import (
     collect_training_patches,
     decode_light_field,
@@ -119,6 +129,14 @@ _HEADER_PATCHES = {
     "no_rows": (12, "<I", (0,)),  # T = 0
 }
 
+# fields the reader must refuse before it sizes anything from them: 70 000
+# views along one axis, or 3 x 3 views of 4096 x 4096 px (151M samples)
+_OVERSIZED_PATCHES = {
+    "many_columns": (8, "<I", (70000,)),  # S
+    "many_rows": (12, "<I", (70000,)),  # T
+    "many_samples": (16, "<2I", (4096, 4096)),  # W, H
+}
+
 
 class TestHeaderGeometry:
     @pytest.fixture(scope="class")
@@ -141,6 +159,37 @@ class TestHeaderGeometry:
         struct.pack_into(layout, data, offset, *values)
         with pytest.raises(DataError):
             decode_light_field(bytes(data), model)
+
+    @pytest.mark.parametrize("lossless", [True, False], ids=["lossless", "lossy"])
+    @pytest.mark.parametrize("patch", list(_OVERSIZED_PATCHES))
+    def test_oversized_field_refused_before_allocation(self, containers, lossless, patch):
+        container, model = containers[lossless]
+        offset, layout, values = _OVERSIZED_PATCHES[patch]
+        data = bytearray(container)
+        struct.pack_into(layout, data, offset, *values)
+        tracemalloc.start()
+        tick = time.perf_counter()
+        try:
+            with pytest.raises(DataError, match="exceeds"):
+                decode_light_field(bytes(data), model)
+            elapsed = time.perf_counter() - tick
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 1 << 20
+
+    def test_encoder_refuses_what_the_reader_would(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(pipeline, "optimize_layers", lambda *a, **k: solves.append(a))
+        wide = LightField(np.zeros((1, 1, 65, 1, 1)))
+        with pytest.raises(ValueError, match="views per axis"):
+            encode_light_field(wide, None, small_config(), lossless=True)
+        assert solves == []
+        check_field_size((1, 1), (4096, 4096), 1)  # exactly MAX_FIELD_SAMPLES
+        assert 4096 * 4096 == MAX_FIELD_SAMPLES
+        with pytest.raises(ValueError, match="samples"):
+            check_field_size((1, 1), (4096, 4097), 1)
 
 
 class TestLossy:
