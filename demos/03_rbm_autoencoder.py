@@ -84,11 +84,10 @@ def main():
         momentum=0.5,
         batch_size=32,
         seed=args.seed,
-        allow_any_sizes=True,
     )
     cold = unroll(pretrain_stack(data, DbnConfig(
         layer_sizes=config.layer_sizes, patch=config.patch, epochs=0,
-        seed=config.seed, allow_any_sizes=True,
+        seed=config.seed,
     )))
     warm = unroll(pretrain_stack(data, config))
 
@@ -96,7 +95,6 @@ def main():
     schedule = DbnConfig(
         layer_sizes=config.layer_sizes, patch=config.patch, epochs=800,
         learning_rate=0.1, momentum=0.9, batch_size=64, seed=config.seed,
-        allow_any_sizes=True,
     )
     tuned_cold = finetune(cold, data, schedule)
     tuned_warm = finetune(warm, data, schedule)

@@ -63,7 +63,7 @@ def main():
         dbn=DbnConfig(
             layer_sizes=(12, 20, 8, 4), patch=4, stride=2,
             variance_threshold=0.0, epochs=30, learning_rate=0.1,
-            momentum=0.9, batch_size=64, seed=5, allow_any_sizes=True,
+            momentum=0.9, batch_size=64, seed=5,
         ),
     )
 

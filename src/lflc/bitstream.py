@@ -5,16 +5,18 @@ the light-field geometry, layer depths, the weighted-binary partition, the
 autoencoder layout and per-basis-image normalization records, followed by one
 self-contained section per scalability level. Sections hold the packed binary
 code matrix plus the entropy-coded quantized latent codes of that level's
-basis images (or the raw 64-bit images in lossless mode). A byte prefix of
-the container that ends on a section boundary is itself a valid container
-for the levels it covers, which is the whole point of the format. The reader
-rejects an empty view grid, more than MAX_VIEWS_PER_AXIS views along either
-axis or more than MAX_FIELD_SAMPLES light-field samples (both before it sizes
-anything from the header), layer depths that are not strictly increasing,
-non-finite or inverted (min > max) normalization records, non-finite raw
-basis samples and entropy streams other than the exact bytes the encoder
-writes for their symbols with a ContainerError (a stream too short for its
-symbols raises TruncatedStreamError).
+basis images (or the raw 64-bit images in lossless mode). One rule splits the
+bytes: a prefix that ends on a section boundary is itself a valid container
+for the levels it covers (the whole point of the format), a cut inside a
+section raises TruncatedSectionError and bytes after the last section raise
+ContainerError. The reader also rejects an empty view grid, more than
+MAX_VIEWS_PER_AXIS views along either axis or more than MAX_FIELD_SAMPLES
+light-field samples (both before it sizes anything from the header), layer
+depths that are not strictly increasing, non-finite or inverted (min > max)
+normalization records, non-finite raw basis samples and entropy streams other
+than the exact bytes the encoder writes for their symbols with a
+ContainerError (a stream too short for its symbols raises
+TruncatedStreamError).
 
 The entropy stage is a 32-bit binary arithmetic coder in the classic
 low/high/underflow formulation, driven MSB-first over the bit planes of each
@@ -440,43 +442,50 @@ def write_container(header: ContainerHeader, payloads) -> bytes:
     return b"".join(parts)
 
 
+def _sections(data: bytes, levels: int | None = None):
+    """(header, spans): one (start, end) body span for each of the first
+    `levels` sections (all when None), split by the rule read_container states."""
+    cursor = _Cursor(data)
+    header = _parse_header(cursor)
+    spans, end = [], cursor.offset
+    for level in range(header.level_count):
+        if level == levels or end == len(data):
+            break
+        start = end + 4  # after the big-endian length prefix
+        end = start + int.from_bytes(data[start - 4 : start], "big")
+        if end > len(data):
+            raise TruncatedSectionError(
+                f"container ends inside section {level + 1}", last_complete_level=level
+            )
+        spans.append((start, end))
+    if len(spans) == header.level_count and end < len(data):
+        raise ContainerError(f"{len(data) - end} trailing bytes after last section")
+    return header, spans
+
+
 def read_container(data: bytes, max_level: int | None = None) -> DecodedContainer:
     """Parse header plus up to max_level sections.
 
-    Truncation exactly at a section boundary is a valid shorter container:
-    the result simply reports fewer levels_used. Truncation inside a section
-    raises TruncatedSectionError carrying the last complete level. A complete
-    section that fails to parse raises its own DataError (a ContainerError or
-    a TruncatedStreamError), never TruncatedSectionError.
+    A prefix that ends on a section boundary is a valid shorter container
+    (fewer levels_used), a cut inside a section raises TruncatedSectionError
+    with the last complete level, and bytes after the header's last section
+    raise ContainerError. A complete section that fails to parse raises its
+    own DataError, never TruncatedSectionError.
     """
-    cursor = _Cursor(data)
-    header = _parse_header(cursor)
-    if max_level is None:
-        max_level = header.level_count
-    if not 1 <= max_level <= header.level_count:
+    header, spans = _sections(data, max_level)
+    if max_level is not None and not 1 <= max_level <= header.level_count:
         raise ValueError(
             f"max_level must be in [1, {header.level_count}], got {max_level}"
         )
-    payloads = []
-    for level in range(max_level):
-        if cursor.remaining == 0:
-            break  # clean boundary: a shorter but valid container
-        try:
-            (length,) = cursor.unpack(">I", "section length")
-            blob = cursor.take(length, f"section {level + 1}")
-        except ContainerError as exc:
-            raise TruncatedSectionError(
-                f"container truncated inside section {level + 1}: {exc}",
-                last_complete_level=level,
-            ) from exc
-        payloads.append(_parse_section(header, blob, header.partition[level]))
-    if not payloads:
+    if not spans:
         raise TruncatedSectionError(
             "container holds no complete section", last_complete_level=0
         )
-    return DecodedContainer(
-        header=header, payloads=tuple(payloads), levels_used=len(payloads)
+    payloads = tuple(
+        _parse_section(header, data[start:end], n)
+        for (start, end), n in zip(spans, header.partition)
     )
+    return DecodedContainer(header=header, payloads=payloads, levels_used=len(payloads))
 
 
 def packed_header_size(header: ContainerHeader) -> int:
@@ -485,25 +494,16 @@ def packed_header_size(header: ContainerHeader) -> int:
 
 
 def section_boundaries(data: bytes) -> list[int]:
-    """Byte offsets at which each section ends (after the header)."""
-    cursor = _Cursor(data)
-    header = _parse_header(cursor)
-    boundaries = []
-    for _ in range(header.level_count):
-        (length,) = cursor.unpack(">I", "section length")
-        cursor.take(length, "section body")
-        boundaries.append(cursor.offset)
-    if cursor.remaining:
-        raise ContainerError(f"{cursor.remaining} trailing bytes after last section")
-    return boundaries
+    """Byte offsets at which each section of the container ends."""
+    return [end for _, end in _sections(data)[1]]
 
 
 def truncate_container(data: bytes, levels: int) -> bytes:
-    """Cut a container down to its first `levels` sections."""
-    boundaries = section_boundaries(data)
-    if not 1 <= levels <= len(boundaries):
-        raise ValueError(f"levels must be in [1, {len(boundaries)}], got {levels}")
-    return data[: boundaries[levels - 1]]
+    """Cut a container, or a longer or cut stream, to its first `levels` sections."""
+    _, spans = _sections(data, levels)
+    if not 1 <= levels <= len(spans):
+        raise ValueError(f"levels must be in [1, {len(spans)}], got {levels}")
+    return data[: spans[-1][1]]
 
 
 def bits_per_pixel(byte_count: int, angular_dims, spatial_dims) -> float:

@@ -169,9 +169,9 @@ def _cmd_render_view(args) -> int:
         S, T = (int(part) for part in args.angular.split(","))
     except ValueError as exc:
         raise DataError(f"--angular expects S,T integers: {exc}") from exc
-    rendered, mask = render_additive(stack, (S, T))
     if not 0 <= args.s < S or not 0 <= args.t < T:
         raise DataError(f"view (s={args.s}, t={args.t}) outside {S}x{T} grid")
+    rendered, mask = render_additive(stack, (S, T))
     view = np.clip(rendered[:, args.t, args.s], 0.0, 1.0)
     pixels = unit_to_image(view[0] if view.shape[0] == 1 else np.moveaxis(view, 0, -1))
     write_pnm(args.out, pixels)

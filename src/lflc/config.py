@@ -104,7 +104,6 @@ _SCHEMA = {
     "dbn.momentum": ("dbn", "momentum", float),
     "dbn.batch_size": ("dbn", "batch_size", int),
     "dbn.seed": ("dbn", "seed", int),
-    "dbn.allow_any_sizes": ("dbn", "allow_any_sizes", _parse_bool),
     "quantizer.bits": ("pipeline", "quant_bits", int),
     "quantizer.lossless": ("pipeline", "lossless", _parse_bool),
     "sweep.qualities": ("pipeline", "qualities", _parse_ints),

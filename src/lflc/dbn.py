@@ -228,7 +228,6 @@ class DbnConfig:
     momentum: float = 0.5
     batch_size: int = 64
     seed: int = 11
-    allow_any_sizes: bool = False  # lifts the F2 dominance rule below
 
     def __post_init__(self):
         sizes = tuple(int(x) for x in self.layer_sizes)
@@ -236,11 +235,8 @@ class DbnConfig:
         if len(sizes) != 4 or any(s < 1 for s in sizes):
             raise ValueError(f"layer_sizes must be four sizes >= 1, got {sizes}")
         f1, f2, f3, f4 = sizes
-        if not self.allow_any_sizes and not (f2 > f3 > f4 and f2 > f1):
-            raise ValueError(
-                f"layer sizes {sizes} violate F2 > F3 > F4 and F2 > F1; "
-                "set allow_any_sizes to override"
-            )
+        if not (f2 > f3 > f4 and f2 > f1):
+            raise ValueError(f"layer sizes {sizes} violate F2 > F3 > F4 and F2 > F1")
         if self.patch < 2:
             raise ValueError("patch must be >= 2")
         if self.stride < 1:

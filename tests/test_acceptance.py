@@ -440,7 +440,7 @@ def test_criterion_10_determinism(acceptance):
         solver=SolverConfig(max_iterations=15),
         wbi=wbi.WbiConfig(components=2, partition=(1, 1)),
         dbn=dbn.DbnConfig(
-            layer_sizes=(6, 8, 4, 2), patch=4, allow_any_sizes=True
+            layer_sizes=(6, 8, 4, 2), patch=4
         ),
     )
     model = random_model(np.random.default_rng(11))

@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lflc.bitstream import (
     ContainerHeader,
@@ -431,6 +433,78 @@ class TestContainer:
         with pytest.raises(ValueError):
             truncate_container(data, 3)
         assert truncate_container(data, 2) == data
+
+    def test_trailing_bytes_after_last_section_rejected(self):
+        rng = np.random.default_rng(61)
+        header = make_header(levels=(1, 1, 1), lossless=True, spatial=(16, 16))
+        data = write_container(header, make_payloads(header, rng))
+        with pytest.raises(ContainerError, match="trailing") as info:
+            read_container(data + b"junk")
+        assert not isinstance(info.value, TruncatedSectionError)
+        assert read_container(data + b"junk", max_level=2).levels_used == 2
+
+    def test_boundary_prefix_is_walked_like_a_container(self):
+        rng = np.random.default_rng(62)
+        header = make_header(levels=(1, 1, 1), lossless=True, spatial=(16, 16))
+        data = write_container(header, make_payloads(header, rng))
+        two = truncate_container(data, 2)
+        assert read_container(two).levels_used == 2
+        assert section_boundaries(two) == section_boundaries(data)[:2]
+        assert truncate_container(two, 1) == truncate_container(data, 1)
+        with pytest.raises(ValueError):
+            truncate_container(two, 3)
+
+    def test_cut_stream_falls_back_to_last_complete_level(self):
+        rng = np.random.default_rng(63)
+        header = make_header(levels=(1, 1, 1), lossless=True, spatial=(16, 16))
+        data = write_container(header, make_payloads(header, rng))
+        cut = data[: section_boundaries(data)[1] + 10]
+        with pytest.raises(TruncatedSectionError) as info:
+            read_container(cut)
+        level = info.value.last_complete_level
+        assert level == 2
+        assert truncate_container(cut, level) == truncate_container(data, 2)
+        assert read_container(cut, max_level=level).levels_used == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        levels=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+        channels=st.sampled_from([1, 3]),
+        lossless=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        suffix=st.binary(min_size=1, max_size=6),
+    )
+    def test_one_rule_splits_every_prefix(self, levels, channels, lossless, seed,
+                                          suffix):
+        header = make_header(levels=levels, channels=channels, lossless=lossless,
+                             spatial=(3, 2))
+        data = write_container(header, make_payloads(header, np.random.default_rng(seed)))
+        start = packed_header_size(header)
+        ends = []  # each section is a big-endian length and that many bytes
+        for _ in levels:
+            ends.append(ends[-1] if ends else start)
+            ends[-1] += 4 + int.from_bytes(data[ends[-1] : ends[-1] + 4], "big")
+        assert ends[-1] == len(data)
+        for k, end in enumerate(ends, start=1):
+            prefix = data[:end]
+            assert read_container(prefix).levels_used == k
+            assert section_boundaries(prefix) == ends[:k]
+            assert truncate_container(data, k) == prefix
+        for cut in range(start + 1, len(data)):
+            if cut in ends:
+                continue
+            complete = sum(end < cut for end in ends)
+            with pytest.raises(TruncatedSectionError) as info:
+                read_container(data[:cut])
+            assert info.value.last_complete_level == complete
+            if complete:
+                assert truncate_container(data[:cut], complete) == data[: ends[complete - 1]]
+        for reader in (read_container, section_boundaries):
+            with pytest.raises(ContainerError) as info:
+                reader(data + suffix)
+            assert not isinstance(info.value, TruncatedSectionError)
+        if len(levels) > 1:
+            assert read_container(data + suffix, max_level=1).levels_used == 1
 
     def test_payload_count_must_match_partition(self):
         rng = np.random.default_rng(55)

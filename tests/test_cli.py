@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_truth_field
 from lflc import cli, dbn
+from lflc.bitstream import truncate_container
 from lflc.cli import DATA_EXIT, INTERNAL_EXIT, USAGE_EXIT, main
 from lflc.lightfield import save_light_field
 
@@ -37,7 +38,6 @@ def workdir(tmp_path_factory):
         "wbi.partition = 1,1\n"
         "dbn.layer_sizes = 6,8,4,2\n"
         "dbn.patch = 4\n"
-        "dbn.allow_any_sizes = true\n"
     )
     return {
         "base": base,
@@ -175,7 +175,7 @@ class TestLayersAndViews:
         assert view_path.exists()
         assert "coverage=" in capsys.readouterr().out
 
-    def test_render_view_out_of_grid(self, workdir, tmp_path, capsys):
+    def test_render_view_out_of_grid(self, workdir, tmp_path, monkeypatch, capsys):
         layer_dir = tmp_path / "layers"
         main([
             "optimize-layers",
@@ -184,6 +184,8 @@ class TestLayersAndViews:
             "--out-dir", str(layer_dir),
         ])
         capsys.readouterr()
+        renders = []  # the grid is checked before the S x T field is rendered
+        monkeypatch.setattr(cli, "render_additive", lambda *a: renders.append(a))
         args = [
             "render-view",
             "--layers", str(layer_dir),
@@ -192,6 +194,7 @@ class TestLayersAndViews:
             "--out", str(tmp_path / "x.pgm"),
         ]
         assert main(args) == DATA_EXIT
+        assert renders == []
 
 
 class TestTraining:
@@ -298,6 +301,21 @@ class TestInfo:
         text = capsys.readouterr().out
         assert "section 1:" in text and "section 2:" in text
         assert "quant   : 8 bits" in text
+
+    def test_info_describes_a_section_aligned_prefix(self, workdir, tmp_path, capsys):
+        out = tmp_path / "field.lflc"
+        main(encode_args(workdir, out, ["--qp", "26"]))
+        capsys.readouterr()
+        data = out.read_bytes()
+        prefix = tmp_path / "level1.lflc"
+        prefix.write_bytes(truncate_container(data, 1))
+        assert main(["info", "--container", str(prefix)]) == 0
+        text = capsys.readouterr().out
+        assert "section 1:" in text and "section 2:" not in text
+        padded = tmp_path / "padded.lflc"
+        padded.write_bytes(data + b"junk")
+        assert main(["info", "--container", str(padded)]) == DATA_EXIT
+        assert "trailing" in capsys.readouterr().err
 
     def test_info_on_garbage_is_data_error(self, tmp_path):
         bad = tmp_path / "junk.lflc"

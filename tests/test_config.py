@@ -137,9 +137,9 @@ class TestFormatConfig:
         assert lines == sorted(lines)
         keys = {line.split("=", 1)[0] for line in lines}
         assert "solver.max_iterations" in keys
-        assert "dbn.allow_any_sizes" in keys
+        assert "dbn.allow_any_sizes" not in keys
         assert "quantizer.lossless" in keys
-        assert len(keys) == len(lines) == 20
+        assert len(keys) == len(lines) == 19
         assert not keys & {"solver.seed", "solver.random_init", "wbi.search_cap"}
         assert not keys & {
             "solver.step_size",

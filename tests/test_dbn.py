@@ -320,9 +320,7 @@ class TestCdUpdate:
 class TestPretrain:
     def test_zero_epochs_returns_seeded_init(self):
         data = (np.random.default_rng(15).random((20, 6)) < 0.5).astype(float)
-        config = DbnConfig(
-            layer_sizes=(5, 4, 3, 2), epochs=0, seed=77, allow_any_sizes=True
-        )
+        config = DbnConfig(layer_sizes=(4, 5, 3, 2), epochs=0, seed=77)
         stack = pretrain_stack(data, config)
         rng = np.random.default_rng(77)
         width = 6
@@ -336,7 +334,7 @@ class TestPretrain:
     def test_layer_dims_chain(self):
         data = np.random.default_rng(16).random((30, 9))
         config = DbnConfig(
-            layer_sizes=(6, 8, 4, 2), epochs=1, batch_size=10, allow_any_sizes=True
+            layer_sizes=(6, 8, 4, 2), epochs=1, batch_size=10
         )
         stack = pretrain_stack(data, config)
         assert stack[0].visible_units == 9
@@ -345,7 +343,7 @@ class TestPretrain:
 
     def test_rejects_empty_data(self):
         with pytest.raises(ValueError):
-            pretrain_stack(np.empty((0, 4)), DbnConfig(layer_sizes=(2, 3, 2, 1), allow_any_sizes=True))
+            pretrain_stack(np.empty((0, 4)), DbnConfig(layer_sizes=(2, 3, 2, 1)))
 
 
 class TestAutoencoder:
@@ -477,7 +475,7 @@ class TestFinetune:
         data = rng.random((12, 4))
         config = DbnConfig(
             layer_sizes=(3, 4, 3, 2), epochs=3, learning_rate=0.0,
-            batch_size=4, allow_any_sizes=True,
+            batch_size=4,
         )
         tuned = finetune(ae, data, config)
         for before, after in zip(ae.weights, tuned.weights):
@@ -491,7 +489,7 @@ class TestFinetune:
         for lr in (0.01, 0.5, 5.0):  # the large rate would diverge unguarded
             config = DbnConfig(
                 layer_sizes=(4, 5, 4, 2), epochs=5, learning_rate=lr,
-                batch_size=10, allow_any_sizes=True,
+                batch_size=10,
             )
             tuned = finetune(ae, data, config)
             assert reconstruction_mse(tuned, data) <= base + 1e-15
@@ -502,7 +500,7 @@ class TestFinetune:
         data = rng.random((40, 6))
         config = DbnConfig(
             layer_sizes=(5, 6, 5, 3), epochs=30, learning_rate=0.5,
-            batch_size=10, allow_any_sizes=True,
+            batch_size=10,
         )
         tuned = finetune(ae, data, config)
         assert reconstruction_mse(tuned, data) < 0.9 * reconstruction_mse(ae, data)
@@ -522,7 +520,7 @@ class TestFinetune:
         monkeypatch.setattr(dbn, "backprop_gradients", spy)
         config = DbnConfig(
             layer_sizes=(5, 6, 5, 3), epochs=6, learning_rate=0.5,
-            batch_size=10, allow_any_sizes=True,
+            batch_size=10,
         )
         tuned = finetune(ae, data, config)
         assert len(working) == 6 * 4
@@ -667,7 +665,10 @@ class TestDbnConfig:
         with pytest.raises(ValueError):
             DbnConfig(layer_sizes=(256, 128, 64, 32))
         DbnConfig(layer_sizes=(128, 256, 64, 32))
-        DbnConfig(layer_sizes=(256, 128, 64, 32), allow_any_sizes=True)
+
+    def test_size_rule_has_no_override(self):
+        with pytest.raises(TypeError):
+            DbnConfig(layer_sizes=(256, 128, 64, 32), allow_any_sizes=True)
 
     def test_needs_exactly_four_sizes(self):
         with pytest.raises(ValueError):

@@ -213,7 +213,7 @@ class TestRdSweep:
         config = PipelineConfig(
             solver=SolverConfig(max_iterations=15),
             wbi=WbiConfig(components=2, partition=(1, 1)),
-            dbn=DbnConfig(layer_sizes=(6, 8, 4, 2), patch=4, allow_any_sizes=True),
+            dbn=DbnConfig(layer_sizes=(6, 8, 4, 2), patch=4),
             depths=centered_depths(2),
         )
         serial = rd_sweep(lf, model, config, qualities=(10, 26, 40), workers=1)
@@ -230,7 +230,7 @@ class TestRdSweep:
         config = PipelineConfig(
             solver=SolverConfig(max_iterations=2),
             wbi=WbiConfig(components=2, partition=(1, 1)),
-            dbn=DbnConfig(layer_sizes=(6, 8, 4, 2), patch=4, allow_any_sizes=True),
+            dbn=DbnConfig(layer_sizes=(6, 8, 4, 2), patch=4),
             depths=centered_depths(2),
         )
         with pytest.raises(ValueError):
@@ -244,7 +244,7 @@ class TestRdSweep:
         config = PipelineConfig(
             solver=SolverConfig(max_iterations=2),
             wbi=WbiConfig(components=2, partition=(1, 1)),
-            dbn=DbnConfig(layer_sizes=(6, 8, 4, 2), patch=4, allow_any_sizes=True),
+            dbn=DbnConfig(layer_sizes=(6, 8, 4, 2), patch=4),
             depths=centered_depths(2),
         )
         solves = []

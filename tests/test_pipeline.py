@@ -45,7 +45,7 @@ def small_config(levels=(1, 1), layers=2, iterations=20, **kwargs):
     return PipelineConfig(
         solver=SolverConfig(max_iterations=iterations),
         wbi=WbiConfig(components=sum(levels), partition=tuple(levels)),
-        dbn=DbnConfig(layer_sizes=(6, 8, 4, 2), patch=4, allow_any_sizes=True),
+        dbn=DbnConfig(layer_sizes=(6, 8, 4, 2), patch=4),
         depths=centered_depths(layers),
         **kwargs,
     )
@@ -302,7 +302,7 @@ class TestTrainingPath:
         textured = np.random.default_rng(81).random((16, 16))
         config = DbnConfig(
             layer_sizes=(6, 8, 4, 2), patch=4, stride=4,
-            variance_threshold=1e-6, allow_any_sizes=True,
+            variance_threshold=1e-6,
         )
         patches = collect_training_patches([flat, textured], config)
         assert patches.shape == (16, 16)  # only the textured image survives
@@ -314,7 +314,6 @@ class TestTrainingPath:
         patches = rng.random((60, 16))
         config = DbnConfig(
             layer_sizes=(6, 8, 4, 2), patch=4, epochs=3, batch_size=20,
-            allow_any_sizes=True,
         )
         model = train_autoencoder(patches, config)
         assert model.sizes == (16, 6, 8, 4, 2, 4, 8, 6, 16)
