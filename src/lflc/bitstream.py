@@ -13,15 +13,19 @@ ContainerError. The reader also rejects an empty view grid, more than
 MAX_VIEWS_PER_AXIS views along either axis or more than MAX_FIELD_SAMPLES
 light-field samples (both before it sizes anything from the header), layer
 depths that are not strictly increasing, non-finite or inverted (min > max)
-normalization records, non-finite raw basis samples and entropy streams other
-than the exact bytes the encoder writes for their symbols with a
+normalization records, non-finite raw basis samples, a lossy section whose
+symbol count is not its geometry's (checked before decoding) and entropy
+streams other than the exact bytes the encoder writes for their symbols with a
 ContainerError (a stream too short for its symbols raises
 TruncatedStreamError).
 
 The entropy stage is a 32-bit binary arithmetic coder in the classic
-low/high/underflow formulation, driven MSB-first over the bit planes of each
-quantized symbol with one adaptive (Laplace-smoothed) frequency pair per
-plane. It is strictly sequential and bit-reproducible.
+low/high/underflow formulation (Witten, Neal & Cleary 1987), driven MSB-first
+over the bit planes of each quantized symbol with one adaptive
+(Laplace-smoothed) frequency pair per plane. It is strictly sequential and
+bit-reproducible. State and counts are floats, cheaper in CPython than ints
+above 2**30, and exact: every value is an integer below 2**48 (a count below
+2**16 times a range of at most 2**32), so no sum, product or // rounds.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ _HALF = 1 << (_STATE_BITS - 1)
 _QUARTER = 1 << (_STATE_BITS - 2)
 _RESCALE_TOTAL = 1 << 16
 _EOF_BIT_ALLOWANCE = 48  # legitimate decoder tail overshoot is < state width
+_FLOAT_CONSTANTS = tuple(map(float, (_HALF, _QUARTER, 3 * _QUARTER, _RESCALE_TOTAL)))
 
 
 # ---------------------------------------------------------------------------
@@ -105,37 +110,38 @@ def entropy_encode(symbols, bits: int) -> bytes:
         raise ValueError(f"symbol overflow for {bits}-bit planes")
     if symbols.size and int(symbols.min()) < 0:
         raise ValueError("symbols must be non-negative")
+    half, quarter, three_quarters, rescale = _FLOAT_CONSTANTS
     # one adaptive [zeros, ones] pair per bit plane, MSB plane first
-    planes = [(shift, [1, 1]) for shift in range(bits - 1, -1, -1)]
-    low, high, pending = 0, _STATE_MASK, 0
+    planes = [(shift, [1.0, 1.0]) for shift in range(bits - 1, -1, -1)]
+    low, high, pending = 0.0, float(_STATE_MASK), 0
     out = bytearray()
     for symbol in symbols.tolist():
         for shift, pair in planes:
             bit = (symbol >> shift) & 1
             zero = pair[0]
-            split = low + zero * (high - low + 1) // (zero + pair[1])
+            split = low + zero * (high - low + 1.0) // (zero + pair[1])
             if bit:
                 low = split
             else:
-                high = split - 1
-            while not (low ^ high) & _HALF:
-                top = low >> (_STATE_BITS - 1)
-                out.append(top)
-                if pending:
-                    out.extend([top ^ 1] * pending)
-                    pending = 0
-                low = (low << 1) & _STATE_MASK
-                high = ((high << 1) & _STATE_MASK) | 1
-            while low & ~high & _QUARTER:
-                pending += 1
-                low = (low << 1) ^ _HALF
-                high = ((high ^ _HALF) << 1) | _HALF | 1
-            pair[bit] += 1
-            if pair[0] + pair[1] >= _RESCALE_TOTAL:
-                pair[0] = (pair[0] + 1) >> 1
-                pair[1] = (pair[1] + 1) >> 1
-    out.append(1)
-    out.extend([0] * pending)
+                high = split - 1.0
+            while True:
+                if high < half:
+                    out += b"\x00" + b"\x01" * pending
+                    pending, offset = 0, 0.0
+                elif low >= half:
+                    out += b"\x01" + bytes(pending)
+                    pending, offset = 0, half
+                elif low >= quarter and high < three_quarters:
+                    pending, offset = pending + 1, quarter
+                else:
+                    break
+                low = 2.0 * (low - offset)
+                high = 2.0 * (high - offset) + 1.0
+            pair[bit] += 1.0
+            if pair[0] + pair[1] >= rescale:
+                pair[0] = (pair[0] + 1.0) // 2.0
+                pair[1] = (pair[1] + 1.0) // 2.0
+    out += b"\x01" + bytes(pending)
     return np.packbits(np.frombuffer(out, dtype=np.uint8)).tobytes()
 
 
@@ -153,43 +159,42 @@ def entropy_decode(data: bytes, count: int, bits: int) -> np.ndarray:
     # read past the end; reading beyond that tail means the stream is starved
     stream = np.unpackbits(np.frombuffer(data, dtype=np.uint8)).tobytes()
     stream += bytes(_EOF_BIT_ALLOWANCE)
-    code = 0
-    for bit in stream[:_STATE_BITS]:
-        code = (code << 1) | bit
+    half, quarter, three_quarters, rescale = _FLOAT_CONSTANTS
+    code = float(int.from_bytes(bytes(data[:4]).ljust(4, b"\0"), "big"))  # 32 bits
     pos = _STATE_BITS
-    planes = [[1, 1] for _ in range(bits)]
-    low, high, pending = 0, _STATE_MASK, 0
+    planes = [[1.0, 1.0] for _ in range(bits)]
+    low, high, pending = 0.0, float(_STATE_MASK), 0
     symbols = []
     try:
         for _ in range(count):
             symbol = 0
             for pair in planes:
                 zero = pair[0]
-                split = low + zero * (high - low + 1) // (zero + pair[1])
+                split = low + zero * (high - low + 1.0) // (zero + pair[1])
                 if code >= split:
                     bit = 1
                     low = split
                 else:
                     bit = 0
-                    high = split - 1
-                while not (low ^ high) & _HALF:
-                    code = ((code << 1) & _STATE_MASK) | stream[pos]
+                    high = split - 1.0
+                # code stays in [low, high]: one offset shifts all three
+                while True:
+                    if high < half:
+                        pending, offset = 0, 0.0
+                    elif low >= half:
+                        pending, offset = 0, half
+                    elif low >= quarter and high < three_quarters:
+                        pending, offset = pending + 1, quarter
+                    else:
+                        break
+                    low = 2.0 * (low - offset)
+                    high = 2.0 * (high - offset) + 1.0
+                    code = 2.0 * (code - offset) + stream[pos]
                     pos += 1
-                    pending = 0
-                    low = (low << 1) & _STATE_MASK
-                    high = ((high << 1) & _STATE_MASK) | 1
-                while low & ~high & _QUARTER:
-                    code = (
-                        (code & _HALF) | ((code << 1) & (_STATE_MASK >> 1)) | stream[pos]
-                    )
-                    pos += 1
-                    pending += 1
-                    low = (low << 1) ^ _HALF
-                    high = ((high ^ _HALF) << 1) | _HALF | 1
-                pair[bit] += 1
-                if pair[0] + pair[1] >= _RESCALE_TOTAL:
-                    pair[0] = (pair[0] + 1) >> 1
-                    pair[1] = (pair[1] + 1) >> 1
+                pair[bit] += 1.0
+                if pair[0] + pair[1] >= rescale:
+                    pair[0] = (pair[0] + 1.0) // 2.0
+                    pair[1] = (pair[1] + 1.0) // 2.0
                 symbol = (symbol << 1) | bit
             symbols.append(symbol)
     except IndexError:
@@ -313,10 +318,6 @@ class _Cursor:
     def unpack(self, fmt: str, what: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
-    @property
-    def remaining(self) -> int:
-        return len(self.data) - self.offset
-
 
 def _parse_header(cursor: _Cursor) -> ContainerHeader:
     magic = cursor.take(4, "magic")
@@ -352,6 +353,8 @@ def _parse_header(cursor: _Cursor) -> ContainerHeader:
         raise ContainerError(f"layer bound {layer_bound!r} is not 1/{layer_count}")
     if not MIN_QUANT_BITS <= quant_bits <= MAX_QUANT_BITS:
         raise ContainerError(f"quantizer bits {quant_bits} out of range")
+    if not flags & 1 and (patch < 1 or not layer_sizes):
+        raise ContainerError(f"lossy layout patch {patch}, layer sizes {layer_sizes}")
     if not np.all(np.isfinite(records)):
         raise ContainerError("normalization records hold non-finite values")
     if np.any(records[..., 0] > records[..., 1]):
@@ -369,6 +372,12 @@ def _parse_header(cursor: _Cursor) -> ContainerHeader:
         lossless=bool(flags & 1),
         norm_records=records,
     )
+
+
+def _section_symbols(header: ContainerHeader, n: int) -> int:
+    """Latent symbols in a lossy section of n basis images: F4 per patch tile."""
+    (W, H), p = header.spatial_dims, header.patch
+    return n * header.channels * -(-H // p) * -(-W // p) * header.layer_sizes[-1]
 
 
 def _pack_section(header: ContainerHeader, payload: LevelPayload, n: int) -> bytes:
@@ -392,6 +401,9 @@ def _pack_section(header: ContainerHeader, payload: LevelPayload, n: int) -> byt
         if payload.symbols is None:
             raise ValueError("lossy container needs quantized symbols")
         symbols = np.asarray(payload.symbols).ravel()
+        count = _section_symbols(header, n)
+        if symbols.size != count:
+            raise ValueError(f"level symbols must number {count}, got {symbols.size}")
         stream = entropy_encode(symbols, header.quant_bits)
         body.append(struct.pack("<I", symbols.size))
         body.append(struct.pack("<I", len(stream)))
@@ -421,12 +433,17 @@ def _parse_section(header: ContainerHeader, blob: bytes, n: int) -> LevelPayload
         payload = LevelPayload(codes=codes, basis_raw=basis.copy())
     else:
         (symbol_count,) = cursor.unpack("<I", "symbol count")
+        count = _section_symbols(header, n)
+        if symbol_count != count:
+            raise ContainerError(
+                f"section declares {symbol_count} symbols, header says {count}"
+            )
         (stream_len,) = cursor.unpack("<I", "stream length")
         stream = cursor.take(stream_len, "entropy stream")
         symbols = entropy_decode(stream, symbol_count, header.quant_bits)
         payload = LevelPayload(codes=codes, symbols=symbols)
-    if cursor.remaining:
-        raise ContainerError(f"{cursor.remaining} stray bytes inside section")
+    if cursor.offset < len(blob):
+        raise ContainerError(f"{len(blob) - cursor.offset} stray bytes inside section")
     return payload
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bitstream, dbn, wbi
 from .config import PipelineConfig, default_config
-from .errors import ContainerError, DataError
+from .errors import DataError
 from .layers import LayerStack, optimize_layers, render_additive
 from .lightfield import LightField
 
@@ -200,12 +200,6 @@ def _level_from_payload(
     else:
         patch = header.patch
         tiles_per_image = -(-H // patch) * -(-W // patch)
-        expected = n * C * tiles_per_image * header.layer_sizes[-1]
-        if payload.symbols.size != expected:
-            raise ContainerError(
-                f"level {level_index + 1} holds {payload.symbols.size} symbols, "
-                f"expected {expected}"
-            )
         latent = bitstream.dequantize(payload.symbols, header.quant_bits)
         unit = np.stack([
             dbn.depatchify(dbn.decode_patches(model, codes), patch, (H, W))

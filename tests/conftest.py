@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lflc.layers import LayerStack, render_additive
 from lflc.lightfield import LightField
+
+# Property tests draw the same examples on every run (seeded from each test),
+# and no example database replays failures from an earlier run.
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 ACCEPTANCE_LINES = []
 

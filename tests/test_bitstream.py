@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lflc import bitstream
 from lflc.bitstream import (
     ContainerHeader,
     DecodedContainer,
@@ -52,6 +53,13 @@ def make_header(levels=(2, 2), channels=1, lossless=False, quant_bits=8,
     )
 
 
+def section_symbols(header, n):
+    """Latent symbols of n basis images: one F4-wide code per patch tile."""
+    W, H = header.spatial_dims
+    tiles = -(-H // header.patch) * -(-W // header.patch)
+    return n * header.channels * tiles * header.layer_sizes[-1]
+
+
 def make_payloads(header, rng):
     payloads = []
     W, H = header.spatial_dims
@@ -62,7 +70,8 @@ def make_payloads(header, rng):
             payloads.append(LevelPayload(codes=codes, basis_raw=basis))
         else:
             symbols = rng.integers(
-                0, 1 << header.quant_bits, size=n * 10, dtype=np.uint32
+                0, 1 << header.quant_bits, size=section_symbols(header, n),
+                dtype=np.uint32,
             )
             payloads.append(LevelPayload(codes=codes, symbols=symbols))
     return payloads
@@ -161,13 +170,57 @@ class TestEntropyCodec:
                 8,
                 "39aacdb7c5b0f8f7c76abbcef6c950b7dd009512fdddf0e21e79d3de57b952c9",
             ),
+            # the widest planes the quantizer allows
+            (
+                np.random.default_rng(16).integers(0, 1 << 16, 3_000),
+                16,
+                "5859d8ecde820c900be021df054977d88d920f795923bced26a14e30cf8b033f",
+            ),
         ],
-        ids=["skewed-2bit-rescaled", "uniform-14bit", "zeros-8bit"],
+        ids=["skewed-2bit-rescaled", "uniform-14bit", "zeros-8bit", "uniform-16bit"],
     )
     def test_golden_streams(self, symbols, bits, digest):
         data = entropy_encode(symbols, bits)
         assert hashlib.sha256(data).hexdigest() == digest
         np.testing.assert_array_equal(entropy_decode(data, symbols.size, bits), symbols)
+
+    def test_state_fits_exact_float_integers(self):
+        # the coder keeps low, high and code in floats: the widest product,
+        # zeros * (high - low + 1), must stay an integer below 2**53
+        assert (bitstream._RESCALE_TOTAL - 1) * 2**bitstream._STATE_BITS < 2**53
+
+    def test_corrupt_stream_outcomes_golden(self):
+        """What the decoder makes of seeded valid, truncated, extended,
+        bit-flipped and random streams: the decoded symbols, or the error
+        class and message. Pinned so a coder rewrite cannot change them."""
+        rng = np.random.default_rng(49)
+        cases = []
+        for _ in range(40):
+            bits, count = int(rng.integers(2, 17)), int(rng.integers(0, 120))
+            data = entropy_encode(rng.integers(0, 1 << bits, count), bits)
+            cases.append((data, count, bits))
+            cases += [(data[:cut], count, bits) for cut in rng.integers(0, len(data), 4)]
+            tail = bytes(rng.integers(0, 256, 3).astype(np.uint8))
+            cases += [(data + tail[:k], count, bits) for k in (1, 3)]
+            for at in rng.integers(0, 8 * len(data), 6):
+                flipped = bytearray(data)
+                flipped[at // 8] ^= 0x80 >> (at % 8)
+                cases.append((bytes(flipped), count, bits))
+            cases.append((data, count + 1, bits))
+        for _ in range(150):
+            data = bytes(rng.integers(0, 256, int(rng.integers(0, 48))).astype(np.uint8))
+            cases.append((data, int(rng.integers(0, 300)), int(rng.integers(2, 17))))
+        digest = hashlib.sha256()
+        for data, count, bits in cases:
+            try:
+                outcome = entropy_decode(data, count, bits).astype("<u4").tobytes()
+            except DataError as exc:
+                outcome = f"{type(exc).__name__}: {exc}".encode()
+            digest.update(b"%d:" % len(outcome) + outcome)
+        assert len(cases) == 710
+        assert digest.hexdigest() == (
+            "bf19e3cca92d724e3d79437cffaf444acae779a51e9f2a10533358c2bfe7e5d6"
+        )
 
     def test_truncated_stream_raises(self):
         rng = np.random.default_rng(44)
@@ -386,13 +439,51 @@ class TestContainer:
         # section 1: length, component count, packed codes, then symbol count
         packed_codes = (header.partition[0] * header.layer_count + 7) // 8
         offset = packed_header_size(header) + 4 + 4 + packed_codes
-        assert struct.unpack_from("<I", data, offset) == (header.partition[0] * 10,)
+        assert struct.unpack_from("<I", data, offset) == (
+            section_symbols(header, header.partition[0]),
+        )
         struct.pack_into("<I", data, offset, 0xFFFFFFFF)
         t0 = time.perf_counter()
         with pytest.raises(DataError) as info:
             read_container(bytes(data))
         assert time.perf_counter() - t0 < 1.0
         assert not isinstance(info.value, TruncatedSectionError)
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_symbol_count_checked_before_decoding(self, delta, monkeypatch):
+        rng = np.random.default_rng(64)
+        header = make_header(levels=(1, 2), channels=3, spatial=(5, 3))
+        data = bytearray(write_container(header, make_payloads(header, rng)))
+        # 1 image x 3 channels x 2x3 tiles of 3x5 px at patch 2 x F4 = 2
+        offset = packed_header_size(header) + 4 + 4 + 1
+        assert struct.unpack_from("<I", data, offset) == (36,)
+        struct.pack_into("<I", data, offset, 36 + delta)
+        calls = []
+        monkeypatch.setattr(bitstream, "entropy_decode",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ContainerError, match="declares %d symbols" % (36 + delta)):
+            read_container(bytes(data))
+        assert calls == []
+
+    def test_writer_refuses_symbols_the_reader_would(self):
+        rng = np.random.default_rng(65)
+        header = make_header(levels=(2,))
+        (payload,) = make_payloads(header, rng)
+        for symbols in (payload.symbols[:-1], np.append(payload.symbols, 0)):
+            with pytest.raises(ValueError, match="symbols must number 24"):
+                write_container(header, [LevelPayload(codes=payload.codes,
+                                                      symbols=symbols)])
+
+    @pytest.mark.parametrize("patch, sizes", [(0, (4, 6, 3, 2)), (2, ())])
+    def test_lossy_layout_without_tiles_rejected(self, patch, sizes):
+        header = make_header(levels=(1,))
+        data = write_container(header, make_payloads(header, np.random.default_rng(66)))
+        offset = struct.calcsize("<4sHH5II") + 4 * header.layer_count + 8 + 4 + 4
+        assert struct.unpack_from("<II", data, offset) == (2, 4)
+        patched = (data[:offset] + struct.pack("<II", patch, len(sizes))
+                   + struct.pack(f"<{len(sizes)}I", *sizes) + data[offset + 24 :])
+        with pytest.raises(ContainerError, match="lossy layout"):
+            read_container(patched)
 
     def test_extra_stream_byte_in_complete_section(self):
         rng = np.random.default_rng(60)
