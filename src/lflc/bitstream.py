@@ -374,6 +374,11 @@ def _parse_header(cursor: _Cursor) -> ContainerHeader:
     )
 
 
+def read_header(data: bytes) -> ContainerHeader:
+    """Parse and check the container's header alone; no section is read."""
+    return _parse_header(_Cursor(data))
+
+
 def _section_symbols(header: ContainerHeader, n: int) -> int:
     """Latent symbols in a lossy section of n basis images: F4 per patch tile."""
     (W, H), p = header.spatial_dims, header.patch

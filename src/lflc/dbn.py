@@ -34,10 +34,20 @@ DEFAULT_LAYER_SIZES = (128, 256, 64, 32)
 
 def sigmoid(x) -> np.ndarray:
     """Numerically stable logistic function: 1 / (1 + e^-x) for x >= 0 and
-    e^x / (1 + e^x) below, with e = exp(-|x|) never overflowing."""
+    e^x / (1 + e^x) below, with e = exp(-|x|) never overflowing.
+
+    The numerator max(e, x >= 0) is 1 for x >= 0 (where e <= 1) and e below
+    (NaN stays NaN). e is built in one fresh buffer, also for 0-d input,
+    which returns a scalar; x is never written.
+    """
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    e = np.abs(x, out=np.empty(x.shape))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(e, x >= 0)
+    e += 1.0
+    out /= e
+    return out
 
 
 def _rows(batch, width: int, what: str) -> np.ndarray:
@@ -360,7 +370,9 @@ def _layers(ae: Autoencoder, layers: slice, batch: np.ndarray) -> list[np.ndarra
     """The batch, then the activation after each layer of the slice."""
     activations = [batch]
     for w, b in zip(ae.weights[layers], ae.biases[layers]):
-        activations.append(sigmoid(activations[-1] @ w.T + b))
+        z = activations[-1] @ w.T
+        z += b
+        activations.append(sigmoid(z))
     return activations
 
 
@@ -383,7 +395,9 @@ def decode_patches(ae: Autoencoder, codes: np.ndarray) -> np.ndarray:
 
 def reconstruction_mse(ae: Autoencoder, batch: np.ndarray) -> float:
     activations = forward(ae, batch)
-    return float(np.mean((activations[-1] - activations[0]) ** 2))
+    error = activations[-1] - activations[0]
+    error *= error
+    return float(np.mean(error))
 
 
 def backprop_gradients(ae: Autoencoder, batch: np.ndarray):
@@ -413,29 +427,44 @@ def _copy(ae: Autoencoder) -> Autoencoder:
     )
 
 
+def _flat_copy(ae: Autoencoder) -> tuple[Autoencoder, np.ndarray]:
+    """A copy of the network whose weights, then biases, are views of one
+    flat vector, and that vector."""
+    arrays = ae.weights + ae.biases
+    flat = np.concatenate([a.ravel() for a in arrays])
+    views, start = [], 0
+    for a in arrays:
+        views.append(flat[start : start + a.size].reshape(a.shape))
+        start += a.size
+    depth = len(ae.weights)
+    return Autoencoder(weights=tuple(views[:depth]), biases=tuple(views[depth:])), flat
+
+
 def finetune(ae: Autoencoder, data, config: DbnConfig) -> Autoencoder:
     """Mini-batch momentum backprop on reconstruction MSE.
 
     Trains one private copy of the network in place and returns a snapshot
     of the best full-data error seen (the untouched input network included),
     so the result never ends worse than it started even if the last epochs
-    overshoot. The input network is left as it was.
+    overshoot. The input network is left as it was. The copy's parameters
+    are views of one flat vector, so each minibatch's momentum step is four
+    whole-vector operations.
     """
     vectors = np.asarray(data, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[0] == 0:
         raise ValueError("training data must be a non-empty (count, dim) array")
     rng = np.random.default_rng(config.seed + 1)
-    work = _copy(ae)
-    params = work.weights + work.biases
-    velocities = [np.zeros_like(p) for p in params]
+    work, flat = _flat_copy(ae)
+    velocity = np.zeros_like(flat)
     best, best_error = _copy(work), reconstruction_mse(work, vectors)
     for _ in range(config.epochs):
         for index in _minibatches(vectors.shape[0], config.batch_size, rng):
             grads_w, grads_b, _ = backprop_gradients(work, vectors[index])
-            for p, v, g in zip(params, velocities, grads_w + grads_b):
-                v *= config.momentum
-                v -= config.learning_rate * g
-                p += v
+            grad = np.concatenate([g.ravel() for g in grads_w + grads_b])
+            velocity *= config.momentum
+            grad *= config.learning_rate
+            velocity -= grad
+            flat += velocity
         error = reconstruction_mse(work, vectors)
         if error < best_error:
             best, best_error = _copy(work), error

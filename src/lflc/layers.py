@@ -17,9 +17,18 @@ intersection of K shifted rectangles, so the geometry keeps the read-only
 mask, its one rectangle per view and a strided read plan per layer. Render
 adds each layer once, in layer order, as a copy-free strided view of the
 zero-padded layer, so every sample sums the same terms in the same order as
-a per-view loop would. The adjoint adds each view's rectangle of the
-residual to every layer, and the solver gathers each candidate's loss over
-the same rectangles, in the order of `x[:, mask]`.
+a per-view loop would. The solver gathers each candidate's loss over the
+view rectangles, in the order of `x[:, mask]`.
+
+The adjoint zero-fills the residual outside the mask once and then adds,
+per layer and in view order, one contiguous span of the flattened (H*W)
+plane per view: from the rectangle's first sample to its last, shifted by
+the layer's offset in that view. Each layer pixel sums the same residual
+samples in the same view order as a per-rectangle scatter; the only extra
+terms are the +0.0 of the masked gaps between the rectangle's rows. The
+accumulator starts at +0.0 and, under round-to-nearest, never becomes
+-0.0, so adding +0.0 leaves every value it can hold unchanged and the
+result is bit-identical.
 """
 
 from __future__ import annotations
@@ -102,7 +111,10 @@ class _Geometry(NamedTuple):
 
     mask: np.ndarray  # (T, S, H, W) bool: every layer lookup in range
     rects: tuple  # (t, s, top, bottom, left, right) per non-empty view, (t, s) order
-    offsets: tuple  # (angular offset of each view row t, of each view column s)
+    # per rectangle: (t, s, first, stop), the span of the flattened H*W plane
+    # from its first sample to one past its last
+    spans: tuple
+    shifts: tuple  # per layer, per rectangle: flat offset of the layer's lookup
     pad: tuple[int, int]  # zero margin (rows, cols) around a layer in render
     # per layer: (views t, views s, offset of the first view's window, step
     # per view t, step per view s), counted in samples of a padded layer plane
@@ -136,6 +148,14 @@ def _geometry(depths: tuple[int, ...], S: int, T: int, H: int, W: int) -> _Geome
     pad_y = min(reach * max(abs(a) for a in offsets_t), H)
     pad_x = min(reach * max(abs(a) for a in offsets_s), W)
     cols = W + 2 * pad_x
+    spans = tuple(
+        (t, s, top * W + left, (bottom - 1) * W + right)
+        for t, s, top, bottom, left, right in rects
+    )
+    shifts = tuple(
+        tuple(d * (offsets_t[t] * W + offsets_s[s]) for t, s, _, _ in spans)
+        for d in depths
+    )
     reads = []
     for d in depths:
         span_t = pad_y // abs(d) if d else T
@@ -144,9 +164,7 @@ def _geometry(depths: tuple[int, ...], S: int, T: int, H: int, W: int) -> _Geome
         s0, s1 = max(0, S // 2 - span_s), min(S, S // 2 + span_s + 1)
         first = (pad_y + d * offsets_t[t0]) * cols + pad_x + d * offsets_s[s0]
         reads.append((slice(t0, t1), slice(s0, s1), first, d * cols, d))
-    return _Geometry(
-        mask, tuple(rects), (offsets_t, offsets_s), (pad_y, pad_x), tuple(reads)
-    )
+    return _Geometry(mask, tuple(rects), spans, shifts, (pad_y, pad_x), tuple(reads))
 
 
 def _rect_copies(rects, buffer: np.ndarray) -> list:
@@ -208,8 +226,13 @@ def adjoint_scatter(
     contributed to it: grad_k(x, y) accumulates residual(u, v, s, t) over
     all valid samples with x = u + d_k*a_s, y = v + d_k*a_t. Satisfies
     <render(P) * mask, L> == <P, adjoint_scatter(L, mask)>; samples outside
-    the mask are never read. `mask` must be the mask render returns for
-    this geometry.
+    the mask count as zero, whatever they hold (NaN and inf included).
+    `mask` must be the mask render returns for this geometry.
+
+    Each layer adds one contiguous span of the flattened residual per view,
+    in view order; the masked gaps between a rectangle's rows add +0.0,
+    which leaves the sums bit-identical to a per-rectangle scatter (see the
+    module docstring).
     """
     W, H = spatial_dims
     if residual.ndim != 5:
@@ -222,17 +245,15 @@ def adjoint_scatter(
     if not np.array_equal(mask, geometry.mask):
         raise ValueError("mask is not the validity mask of this geometry")
 
-    # Each layer adds the views' rectangles in view order, the order in which
-    # a scatter of the whole masked field would add its non-zero samples.
-    offsets_t, offsets_s = geometry.offsets
-    grad = np.zeros((len(depths), C, H, W), dtype=np.float64)
-    for layer, d in zip(grad, depths):
-        for t, s, top, bottom, left, right in geometry.rects:
-            sy, sx = d * offsets_t[t], d * offsets_s[s]
-            layer[:, top + sy : bottom + sy, left + sx : right + sx] += residual[
-                :, t, s, top:bottom, left:right
-            ]
-    return grad
+    # Each layer adds the views' spans in view order, the order in which a
+    # scatter of the whole masked field would add its non-zero samples.
+    masked = np.where(mask, residual, 0.0).reshape(C, T, S, H * W)
+    grad = np.zeros((len(depths), C, H * W), dtype=np.float64)
+    for layer, shifts in zip(grad, geometry.shifts):
+        for (t, s, first, stop), shift in zip(geometry.spans, shifts):
+            span = layer[:, first + shift : stop + shift]
+            span += masked[:, t, s, first:stop]  # in place: no write-back copy
+    return grad.reshape(len(depths), C, H, W)
 
 
 def optimize_layers(
@@ -290,7 +311,9 @@ def optimize_layers(
     history = [loss]
     step = INITIAL_STEP
     for _ in range(config.max_iterations):
-        grad = adjoint_scatter(target.samples - rendered, mask, depths, (W, H))
+        # Nothing reads the accepted render again, so it holds the residual.
+        residual = np.subtract(target.samples, rendered, out=rendered)
+        grad = adjoint_scatter(residual, mask, depths, (W, H))
         accepted = False
         for _ in range(MAX_BACKTRACKS + 1):
             candidate = np.clip(images + step * grad, 0.0, bound)

@@ -220,9 +220,12 @@ def decode_light_field(
     model: dbn.Autoencoder | None = None,
     max_level: int | None = None,
 ) -> DecodeResult:
-    """Decode a container (or any section-aligned prefix of one)."""
-    decoded = bitstream.read_container(data, max_level)
-    header = decoded.header
+    """Decode a container (or any section-aligned prefix of one).
+
+    A lossy container's model layout is checked against the header before
+    any section is entropy-decoded.
+    """
+    header = bitstream.read_header(data)
     if not header.lossless:
         if model is None:
             raise DataError("lossy decoding requires the autoencoder model")
@@ -232,6 +235,7 @@ def decode_light_field(
                 f"model layout (p={patch}, {layer_sizes}) does not match "
                 f"container (p={header.patch}, {header.layer_sizes})"
             )
+    decoded = bitstream.read_container(data, max_level)
     levels = [
         _level_from_payload(header, payload, index, model)
         for index, payload in enumerate(decoded.payloads)

@@ -66,6 +66,31 @@ def two_branch_sigmoid(x):
     return out
 
 
+def per_array_finetune(ae, data, config):
+    """finetune's momentum step written as three small ops per array: the
+    reference for its one flat-vector step."""
+    rng = np.random.default_rng(config.seed + 1)
+    params = [array.copy() for array in ae.weights + ae.biases]
+    depth = len(ae.weights)
+
+    def net():
+        return Autoencoder(weights=tuple(params[:depth]), biases=tuple(params[depth:]))
+
+    velocities = [np.zeros_like(p) for p in params]
+    best, best_error = [p.copy() for p in params], reconstruction_mse(net(), data)
+    for _ in range(config.epochs):
+        for index in dbn._minibatches(data.shape[0], config.batch_size, rng):
+            grads_w, grads_b, _ = backprop_gradients(net(), data[index])
+            for p, v, g in zip(params, velocities, grads_w + grads_b):
+                v *= config.momentum
+                v -= config.learning_rate * g
+                p += v
+        error = reconstruction_mse(net(), data)
+        if error < best_error:
+            best, best_error = [p.copy() for p in params], error
+    return best
+
+
 def sha256_of(arrays):
     digest = hashlib.sha256()
     for array in arrays:
@@ -98,6 +123,27 @@ class TestSigmoid:
         for trial in range(300):
             x = rng.normal(0.0, 10.0 ** (trial % 4), size=(int(rng.integers(1, 50)), 8))
             assert np.array_equal(sigmoid(x), two_branch_sigmoid(x))
+
+    def test_zero_d_input_gives_a_scalar(self):
+        for x in (0.0, -0.7, np.float64(3.0), np.array(-0.7)):
+            out = sigmoid(x)
+            assert isinstance(out, np.float64)
+            assert out == two_branch_sigmoid(np.array(x))[()]
+
+    @pytest.mark.parametrize("shape", ["0-d", "empty", "transposed", "6144x8"])
+    def test_layouts_match_reference_and_input_untouched(self, shape):
+        rng = np.random.default_rng(39)
+        x = {
+            "0-d": np.array(-0.7),
+            "empty": np.empty((0, 8)),
+            "transposed": rng.normal(0.0, 5.0, (8, 33)).T,
+            "6144x8": rng.normal(0.0, 5.0, (6144, 8)),
+        }[shape]
+        before = x.copy()
+        out = sigmoid(x)
+        assert np.array_equal(x, before)
+        assert np.shape(out) == x.shape
+        assert np.array_equal(out, two_branch_sigmoid(x))
 
 
 class TestEnergy:
@@ -533,6 +579,26 @@ class TestFinetune:
             assert not any(np.shares_memory(array, other) for other in others)
         for array in working[0].weights + working[0].biases:
             assert not any(np.shares_memory(array, other) for other in ae.weights + ae.biases)
+
+
+    @pytest.mark.parametrize(
+        "sizes, count, lr, momentum, batch",
+        [((6, 5, 3), 40, 0.5, 0.5, 10), ((9, 7, 4), 45, 0.3, 0.9, 16),
+         ((4, 3, 2), 7, 5.0, 0.0, 3)],
+    )
+    def test_flat_step_equals_per_array_loop(self, sizes, count, lr, momentum, batch):
+        rng = np.random.default_rng(41)
+        ae = random_autoencoder(rng, sizes)
+        data = rng.random((count, sizes[0]))
+        config = DbnConfig(
+            layer_sizes=(5, 8, 5, 3), epochs=7, learning_rate=lr,
+            momentum=momentum, batch_size=batch,
+        )
+        tuned = finetune(ae, data, config)
+        expected = per_array_finetune(ae, data, config)
+        assert len(expected) == len(tuned.weights + tuned.biases)
+        for got, want in zip(tuned.weights + tuned.biases, expected):
+            assert np.array_equal(got, want)
 
 
 class TestTrainingGolden:

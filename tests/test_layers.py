@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import centered_depths, random_truth_field
 from lflc import layers
@@ -176,6 +178,38 @@ class TestAdjoint:
         assert np.sum(grad != 0) == 3
         for k, depth in enumerate(stack.depths):
             assert grad[k, 0, v - depth, u + depth] == 1.0
+
+    def test_non_finite_outside_mask_reads_as_zero(self):
+        depths, (S, T), (H, W) = (-1, 0, 1), (3, 3), (8, 9)
+        _, mask = render_additive(LayerStack(depths, np.zeros((3, 2, H, W))), (S, T))
+        rng = np.random.default_rng(12)
+        zero_filled = np.where(mask, rng.standard_normal((2, T, S, H, W)), 0.0)
+        outside = np.flatnonzero(~np.broadcast_to(mask, zero_filled.shape))
+        planted = zero_filled.copy()
+        planted.flat[outside] = rng.choice([np.nan, np.inf, -np.inf], outside.size)
+        assert not np.isfinite(planted).all()
+        grad = adjoint_scatter(planted, mask, depths, (W, H))
+        assert np.all(np.isfinite(grad))
+        assert np.array_equal(grad, window_adjoint(zero_filled, mask, depths, (W, H)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    depths=st.sets(st.integers(-3, 3), min_size=1, max_size=7).map(sorted),
+    views=st.tuples(st.integers(1, 7), st.integers(1, 7)),
+    size=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    channels=st.sampled_from([1, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_adjoint_equals_window_scatter_everywhere(depths, views, size, channels, seed):
+    # the row-span scatter adds +0.0 over the gaps between a rectangle's rows;
+    # it must still equal the per-window reference bit for bit
+    depths, (S, T), (H, W) = tuple(depths), views, size
+    zeros = np.zeros((len(depths), channels, H, W))
+    _, mask = render_additive(LayerStack(depths, zeros), (S, T))
+    field = np.random.default_rng(seed).standard_normal((channels, T, S, H, W))
+    grad = adjoint_scatter(field, mask, depths, (W, H))
+    assert np.array_equal(grad, window_adjoint(field, mask, depths, (W, H)))
 
 
 @pytest.mark.parametrize("depths", [(-2, 0, 2), (0, 3), (-1, 0, 1, 2)])

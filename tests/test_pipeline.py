@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from conftest import centered_depths, random_truth_field
-from lflc import pipeline
+from lflc import bitstream, pipeline
 from lflc.bitstream import (
     MAX_FIELD_SAMPLES,
+    ContainerHeader,
     check_field_size,
     dequantize,
     packed_header_size,
@@ -270,6 +271,29 @@ class TestLossy:
         encoded = encode_light_field(lf, model, small_config(), quant_bits=8)
         with pytest.raises(DataError):
             decode_light_field(encoded.container, other)
+
+    def test_layout_checked_before_entropy_decoding(self, monkeypatch):
+        # 185 bytes: a header whose F4 of 166 667 makes its one section hold
+        # 6 tiles x 166 667 = 1 000 002 symbols, over a 64-byte zero stream
+        header = ContainerHeader(
+            angular_dims=(3, 3), spatial_dims=(6, 4), channels=1, depths=(-1, 0, 1),
+            layer_bound=1.0 / 3, partition=(1,), patch=2,
+            layer_sizes=(4, 8, 6, 166_667), quant_bits=8, lossless=False,
+            norm_records=np.array([[[0.0, 1.0]]]),
+        )
+        section = struct.pack("<IBII", 1, 0b10100000, 1_000_002, 64) + bytes(64)
+        data = bitstream._pack_header(header) + struct.pack(">I", len(section)) + section
+        assert len(data) == 185
+        model = random_model(np.random.default_rng(85), input_units=4, sizes=(4, 8, 6, 4))
+        tick = time.perf_counter()
+        with pytest.raises(DataError, match="model layout"):
+            decode_light_field(data, model)
+        assert time.perf_counter() - tick < 0.5
+        calls = []
+        monkeypatch.setattr(bitstream, "entropy_decode", lambda *args: calls.append(args))
+        with pytest.raises(DataError, match="model layout"):
+            decode_light_field(data, model)
+        assert calls == []
 
     def test_timings_cover_all_stages(self, field):
         lf, _ = field
