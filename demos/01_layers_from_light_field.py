@@ -53,10 +53,7 @@ def main():
 
     config = SolverConfig(max_iterations=args.iterations)
     stack, history = optimize_layers(
-        field,
-        layer_count=args.layers,
-        depths=centered_depths(args.layers),
-        config=config,
+        field, depths=centered_depths(args.layers), config=config
     )
     rendered, _ = render_additive(stack, (args.views, args.views))
     quality = psnr_masked(field.samples, rendered, mask)

@@ -16,11 +16,11 @@ from lflc.dbn import (
     cd_update,
     finetune,
     init_rbm,
-    joint_probabilities_bruteforce,
     pretrain_stack,
     reconstruction_mse,
     unroll,
 )
+from lflc.wbi import bit_vectors
 
 
 def sample_patches(rng, count, width):
@@ -41,9 +41,13 @@ def sample_patches(rng, count, width):
 
 
 def exact_mean_log_likelihood(params, data):
-    # visible states are enumerated in integer order, first unit most significant
-    _, _, joint = joint_probabilities_bruteforce(params)
-    marginal = joint.sum(axis=1)
+    # enumerate every (v, h) state pair, each in integer order with the first
+    # unit most significant, and normalize the Boltzmann weights exp(-E(v, h))
+    vs, hs = bit_vectors(params.visible_units), bit_vectors(params.hidden_units)
+    energies = (-(vs @ params.w.T @ hs.T) - (vs @ params.b)[:, None]
+                - (hs @ params.c)[None, :])
+    weights = np.exp(-energies)
+    marginal = (weights / weights.sum()).sum(axis=1)
     idx = data.astype(int) @ (1 << np.arange(data.shape[1] - 1, -1, -1))
     return float(np.mean(np.log(marginal[idx])))
 

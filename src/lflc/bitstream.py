@@ -41,6 +41,7 @@ MAGIC = b"LFLC"
 VERSION = 1
 MIN_QUANT_BITS = 2
 MAX_QUANT_BITS = 16
+DEFAULT_QUANT_BITS = 8  # also the depth a lossless header records
 MAX_VIEWS_PER_AXIS = 64  # S and T
 MAX_FIELD_SAMPLES = 1 << 24  # C * S * T * H * W
 
@@ -228,7 +229,6 @@ class ContainerHeader:
     spatial_dims: tuple[int, int]  # (W, H)
     channels: int
     depths: tuple[int, ...]  # layer depth offsets; K = len(depths)
-    layer_bound: float  # per-layer cap, 1/K
     partition: tuple[int, ...]  # components per level; M = len(partition)
     patch: int
     layer_sizes: tuple[int, ...]  # encoder sizes F1..F4
@@ -256,6 +256,11 @@ class ContainerHeader:
     @property
     def layer_count(self) -> int:
         return len(self.depths)
+
+    @property
+    def layer_bound(self) -> float:
+        """Per-layer cap 1/K; the header records it, the reader checks it."""
+        return 1.0 / len(self.depths)
 
     @property
     def level_count(self) -> int:
@@ -364,7 +369,6 @@ def _parse_header(cursor: _Cursor) -> ContainerHeader:
         spatial_dims=(W, H),
         channels=channels,
         depths=depths,
-        layer_bound=layer_bound,
         partition=partition,
         patch=patch,
         layer_sizes=layer_sizes,

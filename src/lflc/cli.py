@@ -81,17 +81,11 @@ def _add_config_flags(parser) -> None:
 def _cmd_encode(args) -> int:
     config = _config_from(args)
     lf = _load_field(args.manifest)
-    lossless = True if args.lossless else None
-    model = None
-    needs_model = not (args.lossless or config.lossless)
-    if args.model:
-        model = dbn.load_model(args.model)
-    elif needs_model:
-        raise DataError("lossy encoding requires --model (or quantizer.lossless=true)")
+    model = dbn.load_model(args.model) if args.model else None
     bits = args.bits if args.qp is None else quant_bits_for_qp(args.qp)
     _echo_config(config)
     result = pipeline.encode_light_field(
-        lf, model, config, quant_bits=bits, lossless=lossless
+        lf, model, config, quant_bits=bits, lossless=args.lossless
     )
     Path(args.out).write_bytes(result.container)
     print("# encode")
@@ -103,9 +97,8 @@ def _cmd_encode(args) -> int:
         f"layers={header.layer_count} quant_bits={header.quant_bits} "
         f"lossless={str(header.lossless).lower()}"
     )
-    print(
-        f"bytes={len(result.container)} bpp={result.bits_per_pixel:.6f} -> {args.out}"
-    )
+    bpp = metrics.bits_per_pixel_of(result.container, lf)
+    print(f"bytes={len(result.container)} bpp={bpp:.6f} -> {args.out}")
     if args.verify:
         decoded = pipeline.decode_light_field(result.container, model)
         quality = psnr_masked(lf, decoded.light_field, decoded.mask)
@@ -143,12 +136,7 @@ def _cmd_optimize_layers(args) -> int:
     lf = _load_field(args.manifest)
     _echo_config(config)
     tick = time.perf_counter()
-    stack, history = optimize_layers(
-        lf,
-        layer_count=len(config.depths),
-        depths=config.depths,
-        config=config.solver,
-    )
+    stack, history = optimize_layers(lf, config.depths, config.solver)
     elapsed = time.perf_counter() - tick
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -238,8 +226,7 @@ def _cmd_bd(args) -> int:
 
 def _cmd_info(args) -> int:
     data = Path(args.container).read_bytes()
-    decoded = bitstream.read_container(data)
-    header = decoded.header
+    header = bitstream.read_header(data)
     boundaries = bitstream.section_boundaries(data)
     S, T = header.angular_dims
     W, H = header.spatial_dims
@@ -260,9 +247,6 @@ def _cmd_info(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="lflc", description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--workers", type=int, default=1, help="parallel workers where supported"
-    )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = sub.add_parser("encode", help="light field to progressive container")
@@ -317,6 +301,7 @@ def build_parser() -> _Parser:
     p.add_argument("--qualities", help="comma-separated QP list")
     p.add_argument("--csv", help="also write the CSV here")
     p.add_argument("--gnuplot", help="write a gnuplot script here (needs --csv)")
+    p.add_argument("--workers", type=int, default=1, help="qualities encoded in parallel")
     _add_config_flags(p)
     p.set_defaults(run=_cmd_sweep)
 

@@ -1,10 +1,19 @@
 """Flat key=value configuration shared by the CLI and the pipeline.
 
-One dotted namespace per stage (solver.*, wbi.*, dbn.*, quantizer.*,
-sweep.*), no nesting, no quoting. Files may hold blank lines and #-comments.
-Command-line --set entries override file entries, and everything funnels
-through the same schema: unknown keys are rejected up front and values are
-validated by the stage configs themselves before any computation starts.
+One dotted namespace per stage, no nesting, no quoting. The 17 keys:
+
+    solver.depths, solver.max_iterations, solver.tolerance
+    wbi.components, wbi.partition, wbi.ridge, wbi.seed
+    dbn.layer_sizes, dbn.patch, dbn.stride, dbn.variance_threshold,
+    dbn.epochs, dbn.learning_rate, dbn.momentum, dbn.batch_size, dbn.seed
+    sweep.qualities
+
+Files may hold blank lines and #-comments. Command-line --set entries
+override file entries, and everything funnels through the same schema:
+unknown keys are rejected up front and values are validated by the stage
+configs themselves before any computation starts. The quantizer is not
+configured here: its depth and lossless mode are arguments of the encode
+call (pipeline.encode_light_field, `lflc encode --bits/--qp/--lossless`).
 Settings that no caller varies are module constants, not keys: the solver's
 first step and backtrack limit (layers.INITIAL_STEP, layers.MAX_BACKTRACKS),
 the WBI alternation limit and stopping tolerance (wbi.MAX_ALTERNATIONS,
@@ -19,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitstream import check_quant_bits
 from .dbn import DbnConfig
 from .errors import ConfigError
 from .layers import DEFAULT_DEPTHS, SolverConfig
@@ -47,8 +55,6 @@ class PipelineConfig:
     wbi: WbiConfig
     dbn: DbnConfig
     depths: tuple[int, ...] = DEFAULT_DEPTHS
-    quant_bits: int = 8
-    lossless: bool = False
     qualities: tuple[int, ...] = DEFAULT_QP_GRID
 
     def __post_init__(self):
@@ -58,7 +64,6 @@ class PipelineConfig:
             raise ValueError("need at least one layer depth")
         if any(b <= a for a, b in zip(depths, depths[1:])):
             raise ValueError(f"depths must be strictly increasing, got {depths}")
-        check_quant_bits(self.quant_bits)
         qualities = tuple(int(q) for q in self.qualities)
         object.__setattr__(self, "qualities", qualities)
         for qp in qualities:
@@ -68,15 +73,6 @@ class PipelineConfig:
 
 def default_config() -> PipelineConfig:
     return PipelineConfig(solver=SolverConfig(), wbi=WbiConfig(), dbn=DbnConfig())
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -104,8 +100,6 @@ _SCHEMA = {
     "dbn.momentum": ("dbn", "momentum", float),
     "dbn.batch_size": ("dbn", "batch_size", int),
     "dbn.seed": ("dbn", "seed", int),
-    "quantizer.bits": ("pipeline", "quant_bits", int),
-    "quantizer.lossless": ("pipeline", "lossless", _parse_bool),
     "sweep.qualities": ("pipeline", "qualities", _parse_ints),
 }
 
@@ -160,8 +154,6 @@ def resolve_config(*entry_maps: dict[str, str]) -> PipelineConfig:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(str(item) for item in value)
     return repr(value) if isinstance(value, float) else str(value)

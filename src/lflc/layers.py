@@ -214,40 +214,31 @@ def render_additive(
     return out, geometry.mask.copy()
 
 
-def adjoint_scatter(
-    residual: np.ndarray,
-    mask: np.ndarray,
-    depths,
-    spatial_dims: tuple[int, int],
-) -> np.ndarray:
+def adjoint_scatter(residual: np.ndarray, depths) -> np.ndarray:
     """Exact adjoint of the masked render operator.
 
     Scatters each valid residual sample back onto every layer position that
     contributed to it: grad_k(x, y) accumulates residual(u, v, s, t) over
     all valid samples with x = u + d_k*a_s, y = v + d_k*a_t. Satisfies
-    <render(P) * mask, L> == <P, adjoint_scatter(L, mask)>; samples outside
-    the mask count as zero, whatever they hold (NaN and inf included).
-    `mask` must be the mask render returns for this geometry.
+    <render(P) * mask, L> == <P, adjoint_scatter(L, depths)>, where the
+    mask is the one render returns for the (C, T, S, H, W) residual's
+    geometry; samples outside it count as zero, whatever they hold (NaN and
+    inf included).
 
     Each layer adds one contiguous span of the flattened residual per view,
     in view order; the masked gaps between a rectangle's rows add +0.0,
     which leaves the sums bit-identical to a per-rectangle scatter (see the
     module docstring).
     """
-    W, H = spatial_dims
     if residual.ndim != 5:
         raise ValueError(f"residual must be (C, T, S, H, W), got {residual.shape}")
-    C, T, S, h, w = residual.shape
-    if (h, w) != (H, W):
-        raise ValueError("residual shape inconsistent with geometry")
+    C, T, S, H, W = residual.shape
     depths = tuple(int(d) for d in depths)
     geometry = _geometry(depths, S, T, H, W)
-    if not np.array_equal(mask, geometry.mask):
-        raise ValueError("mask is not the validity mask of this geometry")
 
     # Each layer adds the views' spans in view order, the order in which a
     # scatter of the whole masked field would add its non-zero samples.
-    masked = np.where(mask, residual, 0.0).reshape(C, T, S, H * W)
+    masked = np.where(geometry.mask, residual, 0.0).reshape(C, T, S, H * W)
     grad = np.zeros((len(depths), C, H * W), dtype=np.float64)
     for layer, shifts in zip(grad, geometry.shifts):
         for (t, s, first, stop), shift in zip(geometry.spans, shifts):
@@ -258,8 +249,7 @@ def adjoint_scatter(
 
 def optimize_layers(
     target: LightField,
-    layer_count: int = 3,
-    depths=None,
+    depths=DEFAULT_DEPTHS,
     config: SolverConfig | None = None,
 ) -> tuple[LayerStack, list[float]]:
     """Fit a layer stack to a target light field by projected gradient descent.
@@ -268,16 +258,12 @@ def optimize_layers(
     layer onto [0, 1/K] after every step. The step size starts at
     INITIAL_STEP, is halved (at most MAX_BACKTRACKS times) until an iteration
     does not increase the loss, and doubles after accepted steps, so the
-    recorded loss history is non-increasing. Depths default to the centred
-    offsets -(K // 2) .. K - K // 2 - 1. Returns the stack and the loss per
-    accepted iterate.
+    recorded loss history is non-increasing. One layer is solved per depth.
+    Returns the stack and the loss per accepted iterate.
     """
     config = config or SolverConfig()
-    if depths is None:
-        depths = range(-(layer_count // 2), layer_count - layer_count // 2)
     depths = tuple(int(d) for d in depths)
-    if len(depths) != layer_count:
-        raise ValueError(f"{len(depths)} depths for layer_count={layer_count}")
+    layer_count = len(depths)
     S, T = target.angular_dims
     W, H = target.spatial_dims
     C = target.channels
@@ -313,7 +299,7 @@ def optimize_layers(
     for _ in range(config.max_iterations):
         # Nothing reads the accepted render again, so it holds the residual.
         residual = np.subtract(target.samples, rendered, out=rendered)
-        grad = adjoint_scatter(residual, mask, depths, (W, H))
+        grad = adjoint_scatter(residual, depths)
         accepted = False
         for _ in range(MAX_BACKTRACKS + 1):
             candidate = np.clip(images + step * grad, 0.0, bound)

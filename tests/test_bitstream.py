@@ -43,7 +43,6 @@ def make_header(levels=(2, 2), channels=1, lossless=False, quant_bits=8,
         spatial_dims=spatial,
         channels=channels,
         depths=tuple(range(-(layers // 2), layers - layers // 2)),
-        layer_bound=1.0 / layers,
         partition=tuple(levels),
         patch=2,
         layer_sizes=(4, 6, 3, 2),
@@ -617,7 +616,6 @@ class TestContainer:
                 spatial_dims=(4, 4),
                 channels=1,
                 depths=(0,),
-                layer_bound=1.0,
                 partition=(2,),
                 patch=2,
                 layer_sizes=(4, 6, 3, 2),

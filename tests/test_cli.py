@@ -1,9 +1,12 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import time
+
 import numpy as np
 import pytest
 
 from conftest import random_truth_field
+from test_pipeline import oversized_layout_container
 from lflc import cli, dbn
 from lflc.bitstream import truncate_container
 from lflc.cli import DATA_EXIT, INTERNAL_EXIT, USAGE_EXIT, main
@@ -237,6 +240,27 @@ class TestSweepAndBd:
         assert len(saved.splitlines()) == 4
         assert "plot" in plot_path.read_text()
 
+    def test_sweep_workers_write_the_same_csv(self, workdir, tmp_path, capsys):
+        texts = []
+        for workers in ("1", "2"):
+            csv_path = tmp_path / f"workers{workers}.csv"
+            args = [
+                "sweep",
+                "--manifest", workdir["manifest"],
+                "--model", workdir["model"],
+                "--config", workdir["config"],
+                "--qualities", "10,26,40",
+                "--csv", str(csv_path),
+                "--workers", workers,
+            ]
+            assert main(args) == 0
+            texts.append(csv_path.read_text())
+        assert texts[0] == texts[1]
+        with pytest.raises(SystemExit) as info:  # only sweep reads it
+            main(["--workers", "2", "sweep", *args[1:-2]])
+        assert info.value.code == USAGE_EXIT
+        capsys.readouterr()
+
     def test_sweep_with_repeated_depth_exits_2(self, workdir, tmp_path):
         csv_path = tmp_path / "sweep.csv"
         args = [
@@ -316,6 +340,17 @@ class TestInfo:
         padded.write_bytes(data + b"junk")
         assert main(["info", "--container", str(padded)]) == DATA_EXIT
         assert "trailing" in capsys.readouterr().err
+
+    def test_info_reads_no_entropy_stream(self, tmp_path, capsys):
+        # the one section's stream would take seconds to decode, and fails
+        path = tmp_path / "layout.lflc"
+        path.write_bytes(oversized_layout_container())
+        tick = time.perf_counter()
+        assert main(["info", "--container", str(path)]) == 0
+        assert time.perf_counter() - tick < 1.0
+        text = capsys.readouterr().out
+        assert "185 bytes" in text
+        assert "section 1:" in text and "section 2:" not in text
 
     def test_info_on_garbage_is_data_error(self, tmp_path):
         bad = tmp_path / "junk.lflc"

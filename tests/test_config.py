@@ -60,8 +60,8 @@ class TestParseEntries:
 
     def test_config_file_roundtrip(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("dbn.epochs=3\nquantizer.bits=10\n")
-        assert read_config_file(path) == {"dbn.epochs": "3", "quantizer.bits": "10"}
+        path.write_text("dbn.epochs=3\nsolver.max_iterations=10\n")
+        assert read_config_file(path) == {"dbn.epochs": "3", "solver.max_iterations": "10"}
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -79,8 +79,7 @@ class TestResolveConfig:
                 "solver.depths": "-2,-1,0,1",
                 "wbi.partition": "2,2",
                 "dbn.layer_sizes": "32,48,16,8",
-                "quantizer.bits": "12",
-                "quantizer.lossless": "true",
+                "dbn.patch": "8",
                 "sweep.qualities": "10,26,40",
             }
         )
@@ -88,16 +87,15 @@ class TestResolveConfig:
         assert config.depths == (-2, -1, 0, 1)
         assert config.wbi.partition == (2, 2)
         assert config.dbn.layer_sizes == (32, 48, 16, 8)
-        assert config.quant_bits == 12
-        assert config.lossless is True
+        assert config.dbn.patch == 8
         assert config.qualities == (10, 26, 40)
 
     def test_later_maps_override(self):
         config = resolve_config(
-            {"dbn.epochs": "5", "quantizer.bits": "6"},
-            {"quantizer.bits": "9"},
+            {"dbn.epochs": "5", "solver.max_iterations": "6"},
+            {"solver.max_iterations": "9"},
         )
-        assert config.quant_bits == 9
+        assert config.solver.max_iterations == 9
         assert config.dbn.epochs == 5
 
     def test_bad_value_names_the_key(self):
@@ -106,16 +104,15 @@ class TestResolveConfig:
 
     def test_validation_errors_become_config_errors(self):
         with pytest.raises(ConfigError):
-            resolve_config({"quantizer.bits": "1"})
+            resolve_config({"solver.max_iterations": "0"})
         with pytest.raises(ConfigError):
             resolve_config({"wbi.partition": "3,3"})  # sum != components
 
-    def test_bool_spellings(self):
-        for text, expected in (("yes", True), ("0", False), ("ON", True)):
-            config = resolve_config({"quantizer.lossless": text})
-            assert config.lossless is expected
-        with pytest.raises(ConfigError):
-            resolve_config({"quantizer.lossless": "maybe"})
+    def test_quantizer_is_not_a_config_key(self):
+        # the quantizer is set on the encode call alone
+        for key in ("quantizer.bits", "quantizer.lossless"):
+            with pytest.raises(ConfigError, match="unknown config key"):
+                resolve_config({key: "8"})
 
 
 class TestFormatConfig:
@@ -138,8 +135,8 @@ class TestFormatConfig:
         keys = {line.split("=", 1)[0] for line in lines}
         assert "solver.max_iterations" in keys
         assert "dbn.allow_any_sizes" not in keys
-        assert "quantizer.lossless" in keys
-        assert len(keys) == len(lines) == 19
+        assert "sweep.qualities" in keys
+        assert len(keys) == len(lines) == 17
         assert not keys & {"solver.seed", "solver.random_init", "wbi.search_cap"}
         assert not keys & {
             "solver.step_size",

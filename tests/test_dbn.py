@@ -13,7 +13,6 @@ from lflc.dbn import (
     RbmParams,
     backprop_gradients,
     cd_update,
-    conditional_probabilities,
     decode_patches,
     depatchify,
     encode_patches,
@@ -21,11 +20,8 @@ from lflc.dbn import (
     forward,
     hidden_probabilities,
     init_rbm,
-    joint_probabilities_bruteforce,
     load_model,
-    partition_function_bruteforce,
     pretrain_stack,
-    rbm_energy,
     reconstruction_mse,
     save_model,
     sigmoid,
@@ -35,6 +31,12 @@ from lflc.dbn import (
     visible_probabilities,
 )
 from lflc.errors import ModelError
+from rbm_oracle import (
+    conditional_probabilities,
+    joint_probabilities_bruteforce,
+    partition_function_bruteforce,
+    rbm_energy,
+)
 
 
 def random_params(rng, n, m, scale=0.8):

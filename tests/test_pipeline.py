@@ -10,12 +10,14 @@ import pytest
 from conftest import centered_depths, random_truth_field
 from lflc import bitstream, pipeline
 from lflc.bitstream import (
+    DEFAULT_QUANT_BITS,
     MAX_FIELD_SAMPLES,
     ContainerHeader,
     check_field_size,
     dequantize,
     packed_header_size,
     quantize,
+    read_header,
     truncate_container,
 )
 from lflc.config import PipelineConfig, default_config
@@ -60,6 +62,18 @@ def random_model(rng, input_units=16, sizes=(6, 8, 4, 2)):
     )
     biases = tuple(np.zeros(dims[i + 1]) for i in range(len(dims) - 1))
     return Autoencoder(weights=weights, biases=biases)
+
+
+def oversized_layout_container() -> bytes:
+    """185 bytes: a header whose F4 of 166 667 makes its one section hold
+    6 tiles x 166 667 = 1 000 002 symbols, over a 64-byte zero stream."""
+    header = ContainerHeader(
+        angular_dims=(3, 3), spatial_dims=(6, 4), channels=1, depths=(-1, 0, 1),
+        partition=(1,), patch=2, layer_sizes=(4, 8, 6, 166_667), quant_bits=8,
+        lossless=False, norm_records=np.array([[[0.0, 1.0]]]),
+    )
+    section = struct.pack("<IBII", 1, 0b10100000, 1_000_002, 64) + bytes(64)
+    return bitstream._pack_header(header) + struct.pack(">I", len(section)) + section
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +242,15 @@ class TestLossy:
         assert decoded.layers.images.min() >= 0.0
         assert decoded.layers.images.max() <= bound + 1e-12
 
+    @pytest.mark.parametrize("lossless", [False, True], ids=["lossy", "lossless"])
+    def test_quant_bits_default_to_eight(self, field, lossless):
+        lf, _ = field
+        model = None if lossless else random_model(np.random.default_rng(86))
+        encoded = encode_light_field(lf, model, small_config(), lossless=lossless)
+        assert DEFAULT_QUANT_BITS == 8
+        assert encoded.header.quant_bits == DEFAULT_QUANT_BITS
+        assert read_header(encoded.container).quant_bits == DEFAULT_QUANT_BITS
+
     @pytest.mark.parametrize("bits", [0, 1, 17])
     def test_out_of_range_bits_rejected(self, field, bits):
         lf, _ = field
@@ -273,16 +296,7 @@ class TestLossy:
             decode_light_field(encoded.container, other)
 
     def test_layout_checked_before_entropy_decoding(self, monkeypatch):
-        # 185 bytes: a header whose F4 of 166 667 makes its one section hold
-        # 6 tiles x 166 667 = 1 000 002 symbols, over a 64-byte zero stream
-        header = ContainerHeader(
-            angular_dims=(3, 3), spatial_dims=(6, 4), channels=1, depths=(-1, 0, 1),
-            layer_bound=1.0 / 3, partition=(1,), patch=2,
-            layer_sizes=(4, 8, 6, 166_667), quant_bits=8, lossless=False,
-            norm_records=np.array([[[0.0, 1.0]]]),
-        )
-        section = struct.pack("<IBII", 1, 0b10100000, 1_000_002, 64) + bytes(64)
-        data = bitstream._pack_header(header) + struct.pack(">I", len(section)) + section
+        data = oversized_layout_container()
         assert len(data) == 185
         model = random_model(np.random.default_rng(85), input_units=4, sizes=(4, 8, 6, 4))
         tick = time.perf_counter()
@@ -301,7 +315,6 @@ class TestLossy:
         encoded = encode_light_field(lf, model, small_config(), quant_bits=8)
         assert set(encoded.timings) == {"layers", "wbi", "latent", "container"}
         assert all(t >= 0.0 for t in encoded.timings.values())
-        assert encoded.bits_per_pixel > 0.0
 
 
 class TestTrainingPath:
@@ -346,4 +359,6 @@ class TestTrainingPath:
 
     def test_default_config_used_when_none(self, field):
         lf, _ = field
-        assert default_config().lossless is False
+        implicit = encode_light_field(lf, None, lossless=True)
+        explicit = encode_light_field(lf, None, default_config(), lossless=True)
+        assert implicit.container == explicit.container

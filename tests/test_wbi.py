@@ -124,23 +124,19 @@ class TestAlternateMinimize:
     def test_history_starts_at_target_norm_and_decreases(self):
         rng = np.random.default_rng(27)
         target = rng.random((6, 1, 8, 8))
-        _, _, history = alternate_minimize(target, 3, WbiConfig(components=3, partition=(3,)))
+        _, _, history = alternate_minimize(target, 3, ridge=1e-8, seed=7)
         np.testing.assert_allclose(history[0], np.linalg.norm(target), rtol=1e-12)
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
     def test_zero_target_hits_zero_residual_immediately(self):
-        _, _, history = alternate_minimize(
-            np.zeros((4, 1, 4, 4)), 2, WbiConfig(components=2, partition=(2,))
-        )
+        _, _, history = alternate_minimize(np.zeros((4, 1, 4, 4)), 2, ridge=1e-8, seed=7)
         assert history[0] == 0.0
         assert history[1] == 0.0
 
     def test_reported_residual_matches_factorization(self):
         rng = np.random.default_rng(28)
         target = rng.random((5, 1, 6, 6))
-        codes, basis, history = alternate_minimize(
-            target, 2, WbiConfig(components=2, partition=(2,))
-        )
+        codes, basis, history = alternate_minimize(target, 2, ridge=1e-8, seed=7)
         recon = np.einsum("nj,nchw->jchw", codes.astype(float), basis)
         np.testing.assert_allclose(np.linalg.norm(target - recon), history[-1], rtol=1e-10)
 
@@ -149,25 +145,22 @@ class TestAlternateMinimize:
         r = rng.random((1, 1, 5, 5))
         pattern = np.array([1, 0, 1, 1, 0], dtype=np.float64)
         target = pattern[:, None, None, None] * r
-        codes, basis, history = alternate_minimize(
-            target, 1, WbiConfig(components=1, partition=(1,), ridge=0.0)
-        )
+        codes, basis, history = alternate_minimize(target, 1, ridge=0.0, seed=7)
         assert history[-1] <= 1e-10 * history[0]
         np.testing.assert_array_equal(codes[0], pattern.astype(np.uint8))
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(30)
         target = rng.random((4, 1, 6, 6))
-        config = WbiConfig(components=3, partition=(3,), seed=99)
-        a = alternate_minimize(target, 3, config)
-        b = alternate_minimize(target, 3, config)
+        a = alternate_minimize(target, 3, ridge=1e-8, seed=99)
+        b = alternate_minimize(target, 3, ridge=1e-8, seed=99)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
         assert a[2] == b[2]
 
     def test_search_cap_enforced(self):
         with pytest.raises(ValueError):
-            alternate_minimize(np.zeros((2, 1, 2, 2)), 9)
+            alternate_minimize(np.zeros((2, 1, 2, 2)), 9, ridge=1e-8, seed=7)
 
 
 class TestEncodeScalable:
@@ -176,7 +169,7 @@ class TestEncodeScalable:
         target = rng.random((5, 1, 8, 8))
         config = WbiConfig(components=4, partition=(4,), seed=7)
         code = encode_scalable(target, config)
-        codes, basis, history = alternate_minimize(target, 4, config)
+        codes, basis, history = alternate_minimize(target, 4, config.ridge, config.seed)
         assert code.level_count == 1
         np.testing.assert_array_equal(code.levels[0].codes, codes)
         np.testing.assert_array_equal(code.levels[0].basis, basis)
