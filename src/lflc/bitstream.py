@@ -332,6 +332,8 @@ def _parse_header(cursor: _Cursor) -> ContainerHeader:
     if version != VERSION:
         raise ContainerError(f"unsupported container version {version}")
     S, T, W, H, channels = cursor.unpack("<5I", "dimensions")
+    if channels not in (1, 3):
+        raise ContainerError(f"channel count must be 1 or 3, got {channels}")
     try:
         check_field_size((S, T), (W, H), channels)
     except ValueError as exc:

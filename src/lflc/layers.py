@@ -263,6 +263,8 @@ def optimize_layers(
     """
     config = config or SolverConfig()
     depths = tuple(int(d) for d in depths)
+    if not depths:
+        raise ValueError("depth list is empty: the solver needs one depth per layer")
     layer_count = len(depths)
     S, T = target.angular_dims
     W, H = target.spatial_dims

@@ -102,6 +102,12 @@ def rd_sweep(
 ) -> list[tuple[int, RdPoint]]:
     """Encode/decode the light field at each quality and measure (bpp, PSNR).
 
+    The rate is the written container's length. The quality comes from the
+    encoder's own level payloads through the decoder's back half
+    (pipeline.decode_payloads), so no point parses or entropy-decodes the
+    bytes it just wrote; the coder is lossless, and a test pins the rows
+    equal to decoding the container.
+
     Every quality maps to its quantizer depth before any encode starts; two
     qualities on one depth would code the same rate twice, which the BD fit
     rejects, so they raise ValueError up front. Quality settings may run on
@@ -121,7 +127,7 @@ def rd_sweep(
 
     def measure(qp: int) -> tuple[int, RdPoint]:
         encoded = pipeline.encode_light_field(lf, model, config, quant_bits=bits[qp])
-        decoded = pipeline.decode_light_field(encoded.container, model)
+        decoded = pipeline.decode_payloads(encoded.header, encoded.payloads, model)
         rate = bits_per_pixel_of(encoded.container, lf)
         quality = psnr_masked(lf.samples, decoded.light_field.samples, decoded.mask)
         return qp, RdPoint(rate=rate, quality=float(quality))

@@ -4,7 +4,11 @@ Encoding runs the stages in order: fit additive display layers to the light
 field, factor the layer stack into scalable weighted-binary levels, squeeze
 each basis image through the autoencoder patch by patch, quantize the latent
 codes, and entropy-code everything into the progressive container. Decoding
-mirrors the chain from whichever prefix of the container survived.
+mirrors the chain from whichever prefix of the container survived: it parses
+the sections back into level payloads, then runs one back half
+(decode_payloads) that rebuilds the levels and renders the field. An RD
+sweep feeds that back half the encoder's own payloads and skips the parse;
+a test pins that this equals decoding the written bytes, bit for bit.
 
 The autoencoder is an input here, not a byproduct: models are trained once
 per dataset family with train_autoencoder and shipped alongside the
@@ -29,6 +33,7 @@ __all__ = [
     "DecodeResult",
     "encode_light_field",
     "decode_light_field",
+    "decode_payloads",
     "train_autoencoder",
     "training_images_from_light_field",
     "collect_training_patches",
@@ -43,6 +48,7 @@ class EncodeResult:
     header: bitstream.ContainerHeader
     layers: LayerStack
     wbi_code: wbi.WbiCode
+    payloads: tuple[bitstream.LevelPayload, ...]  # what write_container packed
     timings: dict[str, float]
 
 
@@ -172,6 +178,7 @@ def encode_light_field(
         header=header,
         layers=stack,
         wbi_code=code,
+        payloads=tuple(payloads),
         timings=timings,
     )
 
@@ -227,9 +234,25 @@ def decode_light_field(
                 f"container (p={header.patch}, {header.layer_sizes})"
             )
     decoded = bitstream.read_container(data, max_level)
+    return decode_payloads(header, decoded.payloads, model)
+
+
+def decode_payloads(
+    header: bitstream.ContainerHeader,
+    payloads: tuple[bitstream.LevelPayload, ...],
+    model: dbn.Autoencoder | None,
+) -> DecodeResult:
+    """The decoder's back half: rebuild the first len(payloads) levels and
+    render the field.
+
+    The payloads are either parsed from a container or an encoder's own
+    (EncodeResult.payloads); the entropy coder is lossless, so both decode
+    to the same field bit for bit. A lossy model must match the header's
+    layout, which decode_light_field checks before it parses.
+    """
     levels = [
         _level_from_payload(header, payload, index, model)
-        for index, payload in enumerate(decoded.payloads)
+        for index, payload in enumerate(payloads)
     ]
     W, H = header.spatial_dims
     code = wbi.WbiCode(
@@ -237,7 +260,7 @@ def decode_light_field(
         image_shape=(header.channels, H, W),
         levels=tuple(levels),
     )
-    images = wbi.decode_levels(code, decoded.levels_used)
+    images = wbi.decode_levels(code, len(levels))
     images = np.clip(images, 0.0, header.layer_bound)
     stack = LayerStack(header.depths, images)
     rendered, mask = render_additive(stack, header.angular_dims)
@@ -247,7 +270,7 @@ def decode_light_field(
         mask=mask,
         layers=stack,
         wbi_code=code,
-        levels_used=decoded.levels_used,
+        levels_used=len(levels),
         header=header,
     )
 

@@ -21,6 +21,7 @@ from lflc.bitstream import (
     packed_header_size,
     quantize,
     read_container,
+    read_header,
     section_boundaries,
     truncate_container,
     write_container,
@@ -31,6 +32,7 @@ from lflc.errors import (
     TruncatedSectionError,
     TruncatedStreamError,
 )
+from lflc.pipeline import decode_light_field
 
 
 def make_header(levels=(2, 2), channels=1, lossless=False, quant_bits=8,
@@ -380,6 +382,16 @@ class TestContainer:
         data[4] = 0xFF
         with pytest.raises(ContainerError):
             read_container(bytes(data))
+
+    @pytest.mark.parametrize("lossless", [False, True], ids=["lossy", "lossless"])
+    @pytest.mark.parametrize("channels", [0, 2])
+    def test_channel_count_other_than_one_or_three_rejected(self, lossless, channels):
+        rng = np.random.default_rng(58)
+        header = make_header(levels=(1, 2), channels=channels, lossless=lossless)
+        data = write_container(header, make_payloads(header, rng))
+        for read in (read_header, read_container, decode_light_field):
+            with pytest.raises(ContainerError, match="channel count"):
+                read(data)
 
     def test_layer_bound_other_than_one_over_k_rejected(self):
         rng = np.random.default_rng(53)

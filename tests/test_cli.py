@@ -76,6 +76,20 @@ class TestEncodeDecode:
         assert code == 0
         assert "verify psnr=" in capsys.readouterr().out
 
+    def test_encode_verify_decodes_the_written_bytes(self, workdir, tmp_path,
+                                                     monkeypatch):
+        parses = []
+        read_container = cli.pipeline.bitstream.read_container
+
+        def counted(data, *args):
+            parses.append(bytes(data))
+            return read_container(data, *args)
+
+        monkeypatch.setattr(cli.pipeline.bitstream, "read_container", counted)
+        out = tmp_path / "field.lflc"
+        assert main(encode_args(workdir, out, ["--qp", "26", "--verify"])) == 0
+        assert parses == [out.read_bytes()]
+
     def test_encode_is_deterministic(self, workdir, tmp_path):
         first = tmp_path / "a.lflc"
         second = tmp_path / "b.lflc"

@@ -333,6 +333,12 @@ class TestOptimizeLayers:
         assert stack.images.shape == (2, 1, 8, 8)
         assert stack.bound == 0.5
 
+    def test_empty_depth_list_rejected(self):
+        rng = np.random.default_rng(21)
+        lf, _, _ = random_truth_field(rng, height=8, width=8, views=(3, 3))
+        with pytest.raises(ValueError, match="depth list is empty"):
+            optimize_layers(lf, depths=())
+
     def test_cold_geometry_cache_gives_the_same_solve(self):
         rng = np.random.default_rng(17)
         lf, _, _ = random_truth_field(rng, height=9, width=11, views=(4, 3))

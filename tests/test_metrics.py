@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import centered_depths, random_truth_field
-from lflc import metrics
-from lflc.config import DEFAULT_QP_GRID, PipelineConfig
+from lflc import bitstream, metrics, pipeline
+from lflc.config import DEFAULT_QP_GRID, PipelineConfig, quant_bits_for_qp
 from lflc.dbn import Autoencoder, DbnConfig
 from lflc.layers import SolverConfig
+from lflc.lightfield import psnr_masked
 from lflc.metrics import (
     BdResult,
     RdPoint,
@@ -196,31 +197,57 @@ class TestReports:
             gnuplot_script(["a.csv"], ["one", "two"])
 
 
+def sweep_inputs():
+    """A 3x3-view field, a random 16-6-8-4-2 model and a fast two-level config."""
+    rng = np.random.default_rng(61)
+    lf, _, _ = random_truth_field(
+        rng, layer_count=2, height=16, width=16, views=(3, 3)
+    )
+    model_rng = np.random.default_rng(62)
+    dims = (16, 6, 8, 4, 2, 4, 8, 6, 16)
+    weights = tuple(
+        model_rng.normal(0, 0.3, (dims[i + 1], dims[i]))
+        for i in range(len(dims) - 1)
+    )
+    biases = tuple(np.zeros(dims[i + 1]) for i in range(len(dims) - 1))
+    model = Autoencoder(weights=weights, biases=biases)
+    config = PipelineConfig(
+        solver=SolverConfig(max_iterations=15),
+        wbi=WbiConfig(components=2, partition=(1, 1)),
+        dbn=DbnConfig(layer_sizes=(6, 8, 4, 2), patch=4),
+        depths=centered_depths(2),
+    )
+    return lf, model, config
+
+
 class TestRdSweep:
     def test_rows_independent_of_worker_count(self):
-        rng = np.random.default_rng(61)
-        lf, _, _ = random_truth_field(
-            rng, layer_count=2, height=16, width=16, views=(3, 3)
-        )
-        model_rng = np.random.default_rng(62)
-        dims = (16, 6, 8, 4, 2, 4, 8, 6, 16)
-        weights = tuple(
-            model_rng.normal(0, 0.3, (dims[i + 1], dims[i]))
-            for i in range(len(dims) - 1)
-        )
-        biases = tuple(np.zeros(dims[i + 1]) for i in range(len(dims) - 1))
-        model = Autoencoder(weights=weights, biases=biases)
-        config = PipelineConfig(
-            solver=SolverConfig(max_iterations=15),
-            wbi=WbiConfig(components=2, partition=(1, 1)),
-            dbn=DbnConfig(layer_sizes=(6, 8, 4, 2), patch=4),
-            depths=centered_depths(2),
-        )
+        lf, model, config = sweep_inputs()
         serial = rd_sweep(lf, model, config, qualities=(10, 26, 40), workers=1)
         threaded = rd_sweep(lf, model, config, qualities=(10, 26, 40), workers=3)
         assert serial == threaded
         rates = [point.rate for _, point in serial]
         assert rates == sorted(rates)
+
+    def test_rows_equal_decoding_the_written_containers(self, monkeypatch):
+        lf, model, config = sweep_inputs()
+        reference = []
+        for qp in (10, 26, 40):
+            bits = quant_bits_for_qp(qp)
+            encoded = pipeline.encode_light_field(lf, model, config, quant_bits=bits)
+            decoded = pipeline.decode_light_field(encoded.container, model)
+            quality = psnr_masked(lf.samples, decoded.light_field.samples, decoded.mask)
+            rate = metrics.bits_per_pixel_of(encoded.container, lf)
+            reference.append((qp, RdPoint(rate=rate, quality=float(quality))))
+        reference.sort(key=lambda row: row[1].rate)
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("the sweep parsed a container")
+
+        monkeypatch.setattr(bitstream, "read_container", no_parse)
+        for workers in (1, 3):
+            rows = rd_sweep(lf, model, config, qualities=(10, 26, 40), workers=workers)
+            assert rows == reference
 
     def test_empty_quality_list_rejected(self):
         rng = np.random.default_rng(63)

@@ -35,6 +35,7 @@ from lflc.lightfield import LightField, psnr_masked
 from lflc.pipeline import (
     collect_training_patches,
     decode_light_field,
+    decode_payloads,
     encode_light_field,
     model_layout,
     train_autoencoder,
@@ -315,6 +316,44 @@ class TestLossy:
         encoded = encode_light_field(lf, model, small_config(), quant_bits=8)
         assert set(encoded.timings) == {"layers", "wbi", "latent", "container"}
         assert all(t >= 0.0 for t in encoded.timings.values())
+
+
+def assert_same_decode(got, want):
+    """Two decodes agree bit for bit: field, mask, layers and levels used."""
+    np.testing.assert_array_equal(got.light_field.samples, want.light_field.samples)
+    np.testing.assert_array_equal(got.mask, want.mask)
+    np.testing.assert_array_equal(got.layers.images, want.layers.images)
+    assert got.levels_used == want.levels_used
+
+
+class TestDecodePayloads:
+    """The back half fed the encoder's own payloads equals decoding the bytes."""
+
+    def test_lossy_payloads_decode_like_the_container(self, field):
+        lf, _ = field
+        model = random_model(np.random.default_rng(86))
+        encoded = encode_light_field(lf, model, small_config(), quant_bits=8)
+        assert len(encoded.payloads) == 2
+        assert_same_decode(
+            decode_payloads(encoded.header, encoded.payloads, model),
+            decode_light_field(encoded.container, model),
+        )
+        prefix = decode_payloads(encoded.header, encoded.payloads[:1], model)
+        assert prefix.levels_used == 1
+        assert_same_decode(
+            prefix, decode_light_field(encoded.container, model, max_level=1)
+        )
+
+    def test_lossless_payloads_decode_like_the_container(self, field):
+        lf, _ = field
+        encoded = encode_light_field(lf, None, small_config(), lossless=True)
+        # the payloads hold the encoder's level basis itself, not a copy
+        for payload, level in zip(encoded.payloads, encoded.wbi_code.levels):
+            assert payload.basis_raw is level.basis
+        assert_same_decode(
+            decode_payloads(encoded.header, encoded.payloads, None),
+            decode_light_field(encoded.container),
+        )
 
 
 class TestTrainingPath:
