@@ -86,8 +86,9 @@ def quantize(values, bits: int) -> np.ndarray:
     """Uniform mid-tread quantization of [0,1] values to integer symbols."""
     check_quant_bits(bits)
     values = np.asarray(values, dtype=np.float64)
-    if values.size and (values.min() < 0.0 or values.max() > 1.0):
-        raise ValueError("quantizer input must lie in [0, 1]")
+    # Written so that NaN, which fails every comparison, fails the test too.
+    if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
+        raise ValueError("quantizer input must be finite and lie in [0, 1]")
     scale = (1 << bits) - 1
     return np.floor(values * scale + 0.5).astype(np.uint32)
 

@@ -497,6 +497,7 @@ def load_model(path) -> Autoencoder:
         offset += 4
         sizes = struct.unpack_from(f"<{layer_count + 1}I", raw, offset)
         offset += 4 * (layer_count + 1)
+        payload_start = offset
         weights, biases = [], []
         for layer in range(layer_count):
             in_dim, out_dim = sizes[layer], sizes[layer + 1]
@@ -510,6 +511,9 @@ def load_model(path) -> Autoencoder:
         raise ModelError(f"truncated or malformed model file: {exc}") from exc
     if offset != len(raw):
         raise ModelError(f"{len(raw) - offset} trailing bytes after model payload")
+    # Weights and biases fill the file after the size chain: one pass checks all.
+    if not np.isfinite(np.frombuffer(raw, dtype="<f8", offset=payload_start)).all():
+        raise ModelError("model has a non-finite weight or bias")
     try:
         return Autoencoder(weights=tuple(weights), biases=tuple(biases))
     except ValueError as exc:

@@ -264,7 +264,7 @@ def decode_payloads(
     images = np.clip(images, 0.0, header.layer_bound)
     stack = LayerStack(header.depths, images)
     rendered, mask = render_additive(stack, header.angular_dims)
-    lf = LightField(samples=np.clip(rendered, 0.0, 1.0))
+    lf = LightField(samples=np.clip(rendered, 0.0, 1.0, out=rendered))
     return DecodeResult(
         light_field=lf,
         mask=mask,

@@ -6,6 +6,8 @@ lines in order. Criterion 8 rebuilds a pinned deterministic fixture whose
 operating points were established by a pilot sweep.
 """
 
+import os
+import sys
 import time
 
 import numpy as np
@@ -33,7 +35,7 @@ from lflc.layers import (
     optimize_layers,
     render_additive,
 )
-from lflc.lightfield import LightField, psnr_masked
+from lflc.lightfield import psnr_masked
 from lflc.metrics import RdPoint, bd_metrics, rd_sweep
 from lflc.pipeline import (
     collect_training_patches,
@@ -42,6 +44,11 @@ from lflc.pipeline import (
     training_images_from_light_field,
 )
 from lflc.config import PipelineConfig
+
+# The acceptance fixture's recipe lives with the benchmark that loads its model.
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+import fixtures  # noqa: E402
 
 
 def test_criterion_01_adjoint(acceptance):
@@ -293,72 +300,32 @@ def test_criterion_07_bitstream(acceptance):
     )
 
 
-# Criterion 8 fixture, established by a pilot sweep. Everything below is
-# deterministic: same field, same solver depth, same factorization, same
-# training schedule, so the sweep lands on the same operating points. The
-# layer images are constant on aligned 2x2 blocks and the depths are even,
-# which keeps every pipeline stage closed over that block grid; the patch
-# model then fits its 2x2 patches well enough that the quantizer sweep
-# stays strictly on the good side of the model floor.
-FIXTURE_FIELD_SEED = 2024
-FIXTURE_MODEL_SEED = 11
-FIXTURE_SIZES = (4, 8, 6, 4)
+# Criterion 8 fixture, established by a pilot sweep. bench/fixtures.py holds
+# its one recipe (field, config, two-pass training), and the model and patches
+# stored there for the benchmark must be exactly what this recipe produces.
+# Everything is deterministic: same field, same solver depth, same
+# factorization, same training schedule, so the sweep lands on the same
+# operating points. The layer images are constant on aligned 2x2 blocks and
+# the depths are even, which keeps every pipeline stage closed over that block
+# grid; the patch model then fits its 2x2 patches well enough that the
+# quantizer sweep stays strictly on the good side of the model floor.
 PINNED_FULL_PSNR = 42.070023  # dB at Q=14, full decode
 PINNED_FULL_BYTES = 31756  # container bytes at Q=14
 
 
-def fixture_field():
-    rng = np.random.default_rng(FIXTURE_FIELD_SEED)
-    half = 32
-    yy, xx = np.meshgrid(np.arange(half), np.arange(half), indexing="ij")
-    images = np.zeros((3, 1, 64, 64))
-    for k in range(3):
-        acc = np.zeros((half, half))
-        for _ in range(3):
-            fy, fx = rng.uniform(0.5, 2.0, 2)
-            phase = rng.uniform(0.0, 2.0 * np.pi, 2)
-            acc += rng.uniform(0.3, 1.0) * np.cos(
-                2.0 * np.pi * fy * yy / half + phase[0]
-            ) * np.cos(2.0 * np.pi * fx * xx / half + phase[1])
-        acc -= acc.min()
-        acc /= acc.max()
-        images[k, 0] = np.kron(acc / 3.0, np.ones((2, 2)))
-    rendered, mask = render_additive(LayerStack((-2, 0, 2), images), (5, 5))
-    return LightField(samples=np.clip(rendered, 0.0, 1.0)), mask
-
-
-def fixture_config():
-    return PipelineConfig(
-        depths=(-2, 0, 2),
-        solver=SolverConfig(max_iterations=500, tolerance=0.0),
-        wbi=wbi.WbiConfig(components=6, partition=(1, 5)),
-        dbn=dbn.DbnConfig(
-            layer_sizes=FIXTURE_SIZES, patch=2, stride=2,
-            variance_threshold=0.0, epochs=20, learning_rate=0.1,
-            momentum=0.5, batch_size=64, seed=FIXTURE_MODEL_SEED,
-        ),
-    )
-
-
-def fixture_model(field, config):
+def test_criterion_08_progressive_quality(acceptance, tmp_path):
+    t0 = time.perf_counter()
+    field, _ = fixtures.cosine_layer_field(fixtures.FIXTURE_SEED)
+    config = fixtures.fixture_config()
     images = training_images_from_light_field(field, config)
     patches = collect_training_patches(images, config.dbn)
-    model = dbn.unroll(dbn.pretrain_stack(patches, config.dbn))
-    for rate in (0.1, 0.05):  # coarse pass, then one annealing pass
-        stage = dbn.DbnConfig(
-            layer_sizes=FIXTURE_SIZES, patch=2, stride=2,
-            variance_threshold=0.0, epochs=1500, learning_rate=rate,
-            momentum=0.9, batch_size=256, seed=FIXTURE_MODEL_SEED,
+    model = fixtures.train_model(patches, config.dbn, finetune_epochs=1500)
+    saved = tmp_path / "model.dbn"
+    dbn.save_model(saved, model)
+    with open(fixtures.MODEL_PATH, "rb") as handle:
+        matches_stored = saved.read_bytes() == handle.read() and np.array_equal(
+            patches, np.load(fixtures.PATCHES_PATH)
         )
-        model = dbn.finetune(model, patches, stage)
-    return model
-
-
-def test_criterion_08_progressive_quality(acceptance):
-    t0 = time.perf_counter()
-    field, _ = fixture_field()
-    config = fixture_config()
-    model = fixture_model(field, config)
 
     sweep = []
     reference = None
@@ -386,12 +353,13 @@ def test_criterion_08_progressive_quality(acceptance):
     acceptance(
         8,
         monotone_q and monotone_level and separated and psnr_pinned
-        and bytes_pinned and dt < 300.0,
+        and bytes_pinned and matches_stored and dt < 300.0,
         f"Q sweep 3..14 non-decreasing={monotone_q} "
         f"(Q14 {full_psnr:.3f} dB, level-1 {lvl1_psnr:.3f} dB, "
         f"full>level-1={separated}); pinned {PINNED_FULL_PSNR:.3f}+-0.05 dB "
         f"ok={psnr_pinned}, {size}B vs {PINNED_FULL_BYTES}+-0.5% "
-        f"ok={bytes_pinned}, {dt:.0f}s (cap 300s)",
+        f"ok={bytes_pinned}, stored model and patches match={matches_stored}, "
+        f"{dt:.0f}s (cap 300s)",
     )
 
 

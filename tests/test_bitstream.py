@@ -115,6 +115,9 @@ class TestQuantizer:
             quantize([-0.01], 8)
         with pytest.raises(ValueError):
             quantize([1.01], 8)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                quantize([0.5, bad], 8)
         with pytest.raises(ValueError):
             dequantize([256], 8)
 

@@ -725,6 +725,15 @@ class TestModelIo:
         with pytest.raises(ModelError):
             load_model(path)
 
+    def test_non_finite_weight_rejected(self, tmp_path):
+        rng = np.random.default_rng(38)
+        ae = random_autoencoder(rng, (4, 2))
+        ae.weights[1][0, 1] = np.nan
+        path = tmp_path / "nan.dbn"
+        save_model(path, ae)
+        with pytest.raises(ModelError, match="non-finite"):
+            load_model(path)
+
 
 class TestDbnConfig:
     def test_bottleneck_ordering_enforced(self):
