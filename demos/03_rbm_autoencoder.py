@@ -73,7 +73,7 @@ def main():
     print(f"  epoch    0: {exact_mean_log_likelihood(params, bits):.4f}")
     for epoch in range(1, 1201):
         params, state = cd_update(
-            params, bits, k=1, lr=0.1, momentum=0.5, rng=rng, state=state,
+            params, bits, lr=0.1, momentum=0.5, rng=rng, state=state,
         )
         if epoch % 300 == 0:
             print(f"  epoch {epoch:4d}: {exact_mean_log_likelihood(params, bits):.4f}")

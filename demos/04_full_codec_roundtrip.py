@@ -15,10 +15,6 @@ from lflc.config import PipelineConfig
 from lflc.dbn import DbnConfig
 from lflc.layers import LayerStack, SolverConfig, render_additive
 from lflc.lightfield import LightField, psnr_masked
-
-
-def centered_depths(layer_count):
-    return tuple(range(-(layer_count // 2), layer_count - layer_count // 2))
 from lflc.pipeline import (
     collect_training_patches,
     decode_light_field,
@@ -27,6 +23,10 @@ from lflc.pipeline import (
     training_images_from_light_field,
 )
 from lflc.wbi import WbiConfig
+
+
+def centered_depths(layer_count):
+    return tuple(range(-(layer_count // 2), layer_count - layer_count // 2))
 
 
 def make_field(seed, layer_count, size, views):

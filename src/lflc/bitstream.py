@@ -285,7 +285,6 @@ class LevelPayload:
 class DecodedContainer:
     header: ContainerHeader
     payloads: tuple[LevelPayload, ...]
-    levels_used: int
 
 
 def _pack_header(header: ContainerHeader) -> bytes:
@@ -496,7 +495,7 @@ def read_container(data: bytes, max_level: int | None = None) -> DecodedContaine
     """Parse header plus up to max_level sections.
 
     A prefix that ends on a section boundary is a valid shorter container
-    (fewer levels_used), a cut inside a section raises TruncatedSectionError
+    (fewer payloads), a cut inside a section raises TruncatedSectionError
     with the last complete level, and bytes after the header's last section
     raise ContainerError. A complete section that fails to parse raises its
     own DataError, never TruncatedSectionError.
@@ -514,7 +513,7 @@ def read_container(data: bytes, max_level: int | None = None) -> DecodedContaine
         _parse_section(header, data[start:end], n)
         for (start, end), n in zip(spans, header.partition)
     )
-    return DecodedContainer(header=header, payloads=payloads, levels_used=len(payloads))
+    return DecodedContainer(header=header, payloads=payloads)
 
 
 def packed_header_size(header: ContainerHeader) -> int:

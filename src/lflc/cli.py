@@ -176,8 +176,7 @@ def _cmd_train_dbn(args) -> int:
     if args.from_views:
         W, H = lf.spatial_dims
         views = lf.samples.transpose(1, 2, 0, 3, 4).reshape(-1, H, W)
-        records = np.stack([views.min(axis=(1, 2)), views.max(axis=(1, 2))], axis=-1)
-        images = list(pipeline.unit_normalize(views, records))
+        images = list(pipeline.unit_normalize(views, pipeline.norm_records(views)))
     else:
         images = pipeline.training_images_from_light_field(lf, config)
     patches = pipeline.collect_training_patches(images, config.dbn)
@@ -301,7 +300,13 @@ def build_parser() -> _Parser:
     p.add_argument("--qualities", help="comma-separated QP list")
     p.add_argument("--csv", help="also write the CSV here")
     p.add_argument("--gnuplot", help="write a gnuplot script here (needs --csv)")
-    p.add_argument("--workers", type=int, default=1, help="qualities encoded in parallel")
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="qualities encoded on this many threads; they share the GIL and "
+        "ran 1.3-3.4x slower than 1 worker on a 2-vCPU host",
+    )
     _add_config_flags(p)
     p.set_defaults(run=_cmd_sweep)
 

@@ -1,9 +1,9 @@
 """Flat key=value configuration shared by the CLI and the pipeline.
 
-One dotted namespace per stage, no nesting, no quoting. The 17 keys:
+One dotted namespace per stage, no nesting, no quoting. The 15 keys:
 
     solver.depths, solver.max_iterations, solver.tolerance
-    wbi.components, wbi.partition, wbi.ridge, wbi.seed
+    wbi.components, wbi.partition
     dbn.layer_sizes, dbn.patch, dbn.stride, dbn.variance_threshold,
     dbn.epochs, dbn.learning_rate, dbn.momentum, dbn.batch_size, dbn.seed
     sweep.qualities
@@ -17,7 +17,9 @@ call (pipeline.encode_light_field, `lflc encode --bits/--qp/--lossless`).
 Settings that no caller varies are module constants, not keys: the solver's
 first step and backtrack limit (layers.INITIAL_STEP, layers.MAX_BACKTRACKS),
 the WBI alternation limit and stopping tolerance (wbi.MAX_ALTERNATIONS,
-wbi.REL_TOLERANCE) and one contrastive-divergence step per RBM update.
+wbi.REL_TOLERANCE), the WBI basis-solve ridge and start-code seed
+(wbi.RIDGE, wbi.START_SEED) and one contrastive-divergence step per RBM
+update (dbn.cd_update).
 
 The QP scale lives here too: the sweep's quality parameter maps onto the
 quantizer depth by quant_bits_for_qp, and DEFAULT_QP_GRID holds one QP per
@@ -89,8 +91,6 @@ _SCHEMA = {
     "solver.tolerance": ("solver", "tolerance", float),
     "wbi.components": ("wbi", "components", int),
     "wbi.partition": ("wbi", "partition", _parse_ints),
-    "wbi.ridge": ("wbi", "ridge", float),
-    "wbi.seed": ("wbi", "seed", int),
     "dbn.layer_sizes": ("dbn", "layer_sizes", _parse_ints),
     "dbn.patch": ("dbn", "patch", int),
     "dbn.stride": ("dbn", "stride", int),

@@ -124,22 +124,19 @@ class CdState:
 def cd_update(
     params: RbmParams,
     batch: np.ndarray,
-    k: int = 1,
     lr: float = 0.05,
     momentum: float = 0.5,
     rng=None,
     state: CdState | None = None,
 ) -> tuple[RbmParams, CdState]:
-    """One contrastive-divergence parameter update on a mini-batch.
+    """One CD-1 parameter update on a mini-batch.
 
     Positive statistics come from the data and p(h|data); the negative phase
-    runs k alternating Gibbs steps where hidden units are sampled binary and
-    visible units keep their probabilities (the final hidden term is also a
+    runs one Gibbs step in which hidden units are sampled binary and visible
+    units keep their probabilities (the final hidden term is also a
     probability). Momentum velocities live in the returned state; pass it
     back in to continue a training run.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     batch = _rows(batch, params.visible_units, "batch")
     if batch.shape[0] == 0:
         raise ValueError("batch is empty")
@@ -150,12 +147,9 @@ def cd_update(
     count = batch.shape[0]
 
     ph0 = hidden_probabilities(params, batch)
-    visible = batch
-    ph = ph0
-    for _ in range(k):
-        hidden = (rng.random(ph.shape) < ph).astype(np.float64)
-        visible = visible_probabilities(params, hidden)
-        ph = hidden_probabilities(params, visible)
+    hidden = (rng.random(ph0.shape) < ph0).astype(np.float64)
+    visible = visible_probabilities(params, hidden)
+    ph = hidden_probabilities(params, visible)
 
     grad_w = (ph0.T @ batch - ph.T @ visible) / count
     grad_b = (batch - visible).mean(axis=0)
@@ -252,6 +246,8 @@ class Autoencoder:
         for w, b in zip(weights, biases):
             if w.ndim != 2 or b.shape != (w.shape[0],):
                 raise ValueError("each layer needs an (out, in) matrix and out bias")
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise ValueError("autoencoder has a non-finite weight or bias")
         for prev, nxt in zip(weights, weights[1:]):
             if nxt.shape[1] != prev.shape[0]:
                 raise ValueError(
@@ -497,7 +493,6 @@ def load_model(path) -> Autoencoder:
         offset += 4
         sizes = struct.unpack_from(f"<{layer_count + 1}I", raw, offset)
         offset += 4 * (layer_count + 1)
-        payload_start = offset
         weights, biases = [], []
         for layer in range(layer_count):
             in_dim, out_dim = sizes[layer], sizes[layer + 1]
@@ -511,9 +506,6 @@ def load_model(path) -> Autoencoder:
         raise ModelError(f"truncated or malformed model file: {exc}") from exc
     if offset != len(raw):
         raise ModelError(f"{len(raw) - offset} trailing bytes after model payload")
-    # Weights and biases fill the file after the size chain: one pass checks all.
-    if not np.isfinite(np.frombuffer(raw, dtype="<f8", offset=payload_start)).all():
-        raise ModelError("model has a non-finite weight or bias")
     try:
         return Autoencoder(weights=tuple(weights), biases=tuple(biases))
     except ValueError as exc:

@@ -158,10 +158,8 @@ def load_light_field(manifest: Manifest, base_dir) -> LightField:
     return LightField(samples)
 
 
-def save_light_field(
-    lf: LightField, base_dir, manifest_name: str = "manifest.txt", bit_depth: int = 8
-) -> Manifest:
-    """Write one PGM/PPM per view plus a manifest; returns the manifest.
+def save_light_field(lf: LightField, base_dir, bit_depth: int = 8) -> Manifest:
+    """Write one PGM/PPM per view plus manifest.txt; returns the manifest.
 
     Round-trips bit-exactly for data loaded from sources of the same depth.
     """
@@ -177,7 +175,7 @@ def save_light_field(
             write_pnm(os.path.join(base_dir, rel), unit_to_image(img, bit_depth))
             paths.append(rel)
     manifest = Manifest((S, T), lf.channels, bit_depth, tuple(paths))
-    write_manifest(manifest, os.path.join(base_dir, manifest_name))
+    write_manifest(manifest, os.path.join(base_dir, "manifest.txt"))
     return manifest
 
 
@@ -185,8 +183,9 @@ def _as_samples(x) -> np.ndarray:
     return x.samples if isinstance(x, LightField) else np.asarray(x)
 
 
-def psnr(a, b, peak: float = 1.0) -> float:
-    """Peak signal-to-noise ratio in dB; +inf when the inputs are identical.
+def psnr(a, b) -> float:
+    """Peak signal-to-noise ratio in dB at peak 1; +inf when the inputs are
+    identical.
 
     Accepts LightField or plain arrays of identical shape. The
     mean squared error averages over every sample including channels.
@@ -194,15 +193,13 @@ def psnr(a, b, peak: float = 1.0) -> float:
     xa, xb = _as_samples(a), _as_samples(b)
     if xa.shape != xb.shape:
         raise ValueError(f"shape mismatch {xa.shape} vs {xb.shape}")
-    if peak <= 0:
-        raise ValueError("peak must be positive")
     mse = float(np.mean(np.square(xa - xb)))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak * peak / mse)
+    return 10.0 * math.log10(1.0 / mse)
 
 
-def psnr_masked(a, b, mask: np.ndarray, peak: float = 1.0) -> float:
+def psnr_masked(a, b, mask: np.ndarray) -> float:
     """PSNR restricted to samples where `mask` is true.
 
     The mask indexes (t, s, v, u) and is broadcast across channels.
@@ -216,4 +213,4 @@ def psnr_masked(a, b, mask: np.ndarray, peak: float = 1.0) -> float:
     mse = float(diff.mean())
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak * peak / mse)
+    return 10.0 * math.log10(1.0 / mse)

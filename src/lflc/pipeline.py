@@ -38,6 +38,7 @@ __all__ = [
     "training_images_from_light_field",
     "collect_training_patches",
     "model_layout",
+    "norm_records",
     "unit_normalize",
 ]
 
@@ -72,6 +73,16 @@ def model_layout(model: dbn.Autoencoder) -> tuple[int, tuple[int, ...]]:
     return patch, tuple(sizes)
 
 
+def norm_records(images: np.ndarray) -> np.ndarray:
+    """Per-image (min, max) records (..., 2) of images (..., H, W).
+
+    The one normalization rule: the encoder's header, its latent symbols and
+    both training paths take their records here, and unit_normalize applies
+    them.
+    """
+    return np.stack([images.min(axis=(-2, -1)), images.max(axis=(-2, -1))], axis=-1)
+
+
 def unit_normalize(images: np.ndarray, records: np.ndarray) -> np.ndarray:
     """Map images (..., H, W) to [0, 1] by their (..., 2) (min, max) records.
 
@@ -98,14 +109,12 @@ def _analyze(
 
 
 def _level_symbols(
-    level: wbi.WbiLevel, model: dbn.Autoencoder, patch: int, quant_bits: int
+    unit: np.ndarray, model: dbn.Autoencoder, patch: int, quant_bits: int
 ) -> np.ndarray:
-    """Quantized latent symbols for every basis image of one level."""
-    H, W = level.basis.shape[2:]
-    unit = unit_normalize(level.basis, level.norm_records).reshape(-1, H, W)
+    """Quantized latent symbols for every unit-range basis image of one level."""
     chunks = [
         dbn.encode_patches(model, dbn.tile_patches(image, patch)).ravel()
-        for image in unit
+        for image in unit.reshape(-1, *unit.shape[2:])
     ]
     if not chunks:
         return np.empty(0, dtype=np.uint32)
@@ -140,6 +149,7 @@ def encode_light_field(
     else:
         patch, layer_sizes = model_layout(model)
     W, H = lf.spatial_dims
+    records = [norm_records(level.basis) for level in code.levels]
     header = bitstream.ContainerHeader(
         angular_dims=lf.angular_dims,
         spatial_dims=(W, H),
@@ -150,23 +160,20 @@ def encode_light_field(
         layer_sizes=layer_sizes,
         quant_bits=bits,
         lossless=lossless,
-        norm_records=np.concatenate([lvl.norm_records for lvl in code.levels]),
+        norm_records=np.concatenate(records),
     )
 
     tick = time.perf_counter()
     payloads = []
-    for level in code.levels:
+    for level, level_records in zip(code.levels, records):
         if lossless:
             payloads.append(
                 bitstream.LevelPayload(codes=level.codes, basis_raw=level.basis)
             )
         else:
-            payloads.append(
-                bitstream.LevelPayload(
-                    codes=level.codes,
-                    symbols=_level_symbols(level, model, patch, bits),
-                )
-            )
+            unit = unit_normalize(level.basis, level_records)
+            symbols = _level_symbols(unit, model, patch, bits)
+            payloads.append(bitstream.LevelPayload(codes=level.codes, symbols=symbols))
     timings["latent"] = time.perf_counter() - tick
 
     tick = time.perf_counter()
@@ -189,14 +196,14 @@ def _level_from_payload(
     level_index: int,
     model: dbn.Autoencoder | None,
 ) -> wbi.WbiLevel:
-    n = header.partition[level_index]
-    first = sum(header.partition[:level_index])
-    records = header.norm_records[first : first + n]
     W, H = header.spatial_dims
     C = header.channels
     if header.lossless:
         basis = np.asarray(payload.basis_raw, dtype=np.float64)
     else:
+        n = header.partition[level_index]
+        first = sum(header.partition[:level_index])
+        records = header.norm_records[first : first + n]
         # _parse_section checked the symbol count; depatchify checks the tiling
         latent = bitstream.dequantize(payload.symbols, header.quant_bits)
         unit = np.stack([
@@ -205,12 +212,7 @@ def _level_from_payload(
         ])
         lo, hi = records[..., 0, None, None], records[..., 1, None, None]
         basis = unit.reshape(n, C, H, W) * (hi - lo) + lo
-    return wbi.WbiLevel(
-        components=tuple(range(first, first + n)),
-        codes=payload.codes,
-        basis=basis,
-        norm_records=records,
-    )
+    return wbi.WbiLevel(codes=payload.codes, basis=basis)
 
 
 def decode_light_field(
@@ -287,7 +289,7 @@ def training_images_from_light_field(
     _, code, _ = _analyze(lf, config)
     images = []
     for level in code.levels:
-        unit = unit_normalize(level.basis, level.norm_records)
+        unit = unit_normalize(level.basis, norm_records(level.basis))
         images.extend(unit.reshape(-1, *unit.shape[2:]))
     return images
 

@@ -22,6 +22,8 @@ import numpy as np
 MAX_SEARCH_CAP = 8  # exhaustive search is 2^cap candidates per stack index
 MAX_ALTERNATIONS = 50  # basis/code solve pairs per level
 REL_TOLERANCE = 1e-7  # stop once the residual improves by less than this share
+RIDGE = 1e-8  # basis-solve regularizer of encode_scalable
+START_SEED = 7  # level m draws its start codes from seed START_SEED + m
 
 
 def _as_stack(target) -> np.ndarray:
@@ -37,8 +39,6 @@ def _as_stack(target) -> np.ndarray:
 class WbiConfig:
     components: int = 4
     partition: tuple[int, ...] = (2, 2)
-    ridge: float = 1e-8
-    seed: int = 7
 
     def __post_init__(self):
         partition = tuple(int(x) for x in self.partition)
@@ -53,18 +53,14 @@ class WbiConfig:
             raise ValueError(
                 f"group sizes {partition} exceed search cap {MAX_SEARCH_CAP}"
             )
-        if self.ridge < 0:
-            raise ValueError("ridge must be >= 0")
 
 
 @dataclass(frozen=True)
 class WbiLevel:
     """One scalability level: codes and basis for its component group."""
 
-    components: tuple[int, ...]  # global component indices (0-based)
     codes: np.ndarray  # (n, J) uint8 in {0, 1}
     basis: np.ndarray  # (n, C, H, W) float64
-    norm_records: np.ndarray  # (n, C, 2) per-image (min, max)
     residual_history: tuple[float, ...] = ()
 
     def contribution(self) -> np.ndarray:
@@ -83,22 +79,12 @@ class WbiCode:
     levels: tuple[WbiLevel, ...] = field(default_factory=tuple)
 
     @property
-    def component_count(self) -> int:
-        return sum(len(level.components) for level in self.levels)
-
-    @property
     def partition(self) -> tuple[int, ...]:
-        return tuple(len(level.components) for level in self.levels)
+        return tuple(len(level.codes) for level in self.levels)
 
     @property
     def level_count(self) -> int:
         return len(self.levels)
-
-
-def _norm_records(basis: np.ndarray) -> np.ndarray:
-    lo = basis.min(axis=(2, 3))
-    hi = basis.max(axis=(2, 3))
-    return np.stack([lo, hi], axis=-1)
 
 
 def solve_basis(target, codes: np.ndarray, ridge: float = 1e-8) -> np.ndarray:
@@ -213,29 +199,22 @@ def encode_scalable(target, config: WbiConfig | None = None) -> WbiCode:
 
     Level 1 fits the original stack; every later level fits the residual the
     previous levels left behind, so basis images of higher levels may be
-    negative. With a single level covering all components the result is
-    bit-for-bit the plain alternate_minimize factorization (same seed).
+    negative. Level m (0-based) runs alternate_minimize with RIDGE and seed
+    START_SEED + m, so a single level covering all components is bit-for-bit
+    alternate_minimize(target, components, RIDGE, START_SEED).
     """
     config = config or WbiConfig()
     stack = _as_stack(target)
     J, C, H, W = stack.shape
     residual = stack.copy()
     levels = []
-    next_component = 0
     for m, size in enumerate(config.partition):
         codes, basis, history = alternate_minimize(
-            residual, size, config.ridge, config.seed + m
+            residual, size, RIDGE, START_SEED + m
         )
-        level = WbiLevel(
-            components=tuple(range(next_component, next_component + size)),
-            codes=codes,
-            basis=basis,
-            norm_records=_norm_records(basis),
-            residual_history=tuple(history),
-        )
+        level = WbiLevel(codes=codes, basis=basis, residual_history=tuple(history))
         residual -= level.contribution()
         levels.append(level)
-        next_component += size
     return WbiCode(stack_size=J, image_shape=(C, H, W), levels=tuple(levels))
 
 

@@ -142,10 +142,9 @@ def test_criterion_04_scalability(acceptance):
             non_increasing &= all(
                 b <= a + 1e-12 for a, b in zip(norms, norms[1:])
             )
-        flat_config = wbi.WbiConfig(components=4, partition=(4,))
-        flat = wbi.encode_scalable(target, flat_config)
+        flat = wbi.encode_scalable(target, wbi.WbiConfig(components=4, partition=(4,)))
         codes, basis, history = wbi.alternate_minimize(
-            target, 4, flat_config.ridge, flat_config.seed
+            target, 4, wbi.RIDGE, wbi.START_SEED
         )
         exact_m1 &= bool(
             np.array_equal(flat.levels[0].codes, codes)
@@ -266,7 +265,7 @@ def test_criterion_07_bitstream(acceptance):
         payloads = make_payloads(header, rng)
         blob = write_container(header, payloads)
         decoded = read_container(blob)
-        roundtrips_ok &= decoded.levels_used == len(levels)
+        roundtrips_ok &= len(decoded.payloads) == len(levels)
         for got, want in zip(decoded.payloads, payloads):
             roundtrips_ok &= bool(np.array_equal(got.codes, want.codes))
             if header.lossless:
@@ -279,7 +278,7 @@ def test_criterion_07_bitstream(acceptance):
     boundaries = section_boundaries(blob)
     truncation_ok = True
     for index, boundary in enumerate(boundaries):
-        truncation_ok &= read_container(blob[:boundary]).levels_used == index + 1
+        truncation_ok &= len(read_container(blob[:boundary]).payloads) == index + 1
     try:
         read_container(blob[: boundaries[1] + 3])
         truncation_ok = False

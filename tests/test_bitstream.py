@@ -298,7 +298,7 @@ class TestContainer:
         data = write_container(header, payloads)
         decoded = read_container(data)
         assert isinstance(decoded, DecodedContainer)
-        assert decoded.levels_used == 2
+        assert len(decoded.payloads) == 2
         got = decoded.header
         assert got.angular_dims == header.angular_dims
         assert got.spatial_dims == header.spatial_dims
@@ -332,7 +332,7 @@ class TestContainer:
         header = make_header(levels=(2, 1, 1))
         data = write_container(header, make_payloads(header, rng))
         decoded = read_container(data, max_level=1)
-        assert decoded.levels_used == 1
+        assert len(decoded.payloads) == 1
         with pytest.raises(ValueError):
             read_container(data, max_level=0)
         with pytest.raises(ValueError):
@@ -346,7 +346,7 @@ class TestContainer:
         short = truncate_container(data, 1)
         assert len(short) < len(data)
         decoded = read_container(short)
-        assert decoded.levels_used == 1
+        assert len(decoded.payloads) == 1
         np.testing.assert_array_equal(decoded.payloads[0].codes, payloads[0].codes)
         np.testing.assert_array_equal(decoded.payloads[0].symbols, payloads[0].symbols)
 
@@ -546,14 +546,14 @@ class TestContainer:
         with pytest.raises(ContainerError, match="trailing") as info:
             read_container(data + b"junk")
         assert not isinstance(info.value, TruncatedSectionError)
-        assert read_container(data + b"junk", max_level=2).levels_used == 2
+        assert len(read_container(data + b"junk", max_level=2).payloads) == 2
 
     def test_boundary_prefix_is_walked_like_a_container(self):
         rng = np.random.default_rng(62)
         header = make_header(levels=(1, 1, 1), lossless=True, spatial=(16, 16))
         data = write_container(header, make_payloads(header, rng))
         two = truncate_container(data, 2)
-        assert read_container(two).levels_used == 2
+        assert len(read_container(two).payloads) == 2
         assert section_boundaries(two) == section_boundaries(data)[:2]
         assert truncate_container(two, 1) == truncate_container(data, 1)
         with pytest.raises(ValueError):
@@ -569,7 +569,7 @@ class TestContainer:
         level = info.value.last_complete_level
         assert level == 2
         assert truncate_container(cut, level) == truncate_container(data, 2)
-        assert read_container(cut, max_level=level).levels_used == 2
+        assert len(read_container(cut, max_level=level).payloads) == 2
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -592,7 +592,7 @@ class TestContainer:
         assert ends[-1] == len(data)
         for k, end in enumerate(ends, start=1):
             prefix = data[:end]
-            assert read_container(prefix).levels_used == k
+            assert len(read_container(prefix).payloads) == k
             assert section_boundaries(prefix) == ends[:k]
             assert truncate_container(data, k) == prefix
         for cut in range(start + 1, len(data)):
@@ -609,7 +609,7 @@ class TestContainer:
                 reader(data + suffix)
             assert not isinstance(info.value, TruncatedSectionError)
         if len(levels) > 1:
-            assert read_container(data + suffix, max_level=1).levels_used == 1
+            assert len(read_container(data + suffix, max_level=1).payloads) == 1
 
     def test_payload_count_must_match_partition(self):
         rng = np.random.default_rng(55)

@@ -215,9 +215,9 @@ class TestLayersAndViews:
 
 
 class TestTraining:
-    def test_train_dbn_writes_loadable_model(self, workdir, tmp_path, capsys):
-        model_path = tmp_path / "trained.dbn"
-        args = [
+    @staticmethod
+    def train(workdir, model_path, *extra):
+        return main([
             "train-dbn",
             "--manifest", workdir["manifest"],
             "--config", workdir["config"],
@@ -225,10 +225,22 @@ class TestTraining:
             "--set", "dbn.stride=4",
             "--set", "dbn.variance_threshold=0",
             "--out", str(model_path),
-            "--from-views",
-        ]
-        assert main(args) == 0
+            *extra,
+        ])
+
+    def test_train_dbn_writes_loadable_model(self, workdir, tmp_path, capsys):
+        model_path = tmp_path / "trained.dbn"
+        assert self.train(workdir, model_path, "--from-views") == 0
         assert "trained on" in capsys.readouterr().out
+        model = dbn.load_model(model_path)
+        assert model.sizes == (16, 6, 8, 4, 2, 4, 8, 6, 16)
+
+    def test_train_dbn_on_basis_images(self, workdir, tmp_path, capsys):
+        # the default path trains on the encoder's own basis images
+        model_path = tmp_path / "trained.dbn"
+        assert self.train(workdir, model_path) == 0
+        # one image per WBI component (wbi.components = 2, one channel)
+        assert "patches from 2 images" in capsys.readouterr().out
         model = dbn.load_model(model_path)
         assert model.sizes == (16, 6, 8, 4, 2, 4, 8, 6, 16)
 

@@ -120,7 +120,6 @@ class TestFormatConfig:
         config = resolve_config(
             {
                 "dbn.learning_rate": "0.075",
-                "wbi.seed": "21",
                 "dbn.variance_threshold": "0.002",
                 "sweep.qualities": "2,26,48",
             }
@@ -136,13 +135,15 @@ class TestFormatConfig:
         assert "solver.max_iterations" in keys
         assert "dbn.allow_any_sizes" not in keys
         assert "sweep.qualities" in keys
-        assert len(keys) == len(lines) == 17
+        assert len(keys) == len(lines) == 15
         assert not keys & {"solver.seed", "solver.random_init", "wbi.search_cap"}
         assert not keys & {
             "solver.step_size",
             "solver.backtracks",
             "wbi.max_alternations",
             "wbi.tolerance",
+            "wbi.ridge",
+            "wbi.seed",
             "dbn.cd_steps",
         }
 

@@ -189,10 +189,10 @@ class TestReports:
         assert "low-order" in bd_report(flagged)
 
     def test_gnuplot_script_lists_every_curve(self):
-        script = gnuplot_script(["a.csv", "b.csv"], ["ours", "anchor"], "out.png")
+        script = gnuplot_script(["a.csv", "b.csv"], ["ours", "anchor"])
         assert "'a.csv' using 2:3" in script
         assert "title 'anchor'" in script
-        assert "set output 'out.png'" in script
+        assert "set output 'rd_curves.png'" in script
         with pytest.raises(ValueError):
             gnuplot_script(["a.csv"], ["one", "two"])
 

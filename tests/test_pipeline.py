@@ -38,11 +38,12 @@ from lflc.pipeline import (
     decode_payloads,
     encode_light_field,
     model_layout,
+    norm_records,
     train_autoencoder,
     training_images_from_light_field,
     unit_normalize,
 )
-from lflc.wbi import WbiConfig, decode_levels
+from lflc.wbi import WbiConfig, decode_levels, encode_scalable
 
 
 def small_config(levels=(1, 1), layers=2, iterations=20, **kwargs):
@@ -268,9 +269,10 @@ class TestLossy:
         encoded = encode_light_field(lf, model, config, quant_bits=12)
         decoded = decode_light_field(encoded.container, model)
         for sent, got in zip(encoded.wbi_code.levels, decoded.wbi_code.levels):
-            unit_basis = unit_normalize(sent.basis, sent.norm_records)
+            records = norm_records(sent.basis)
+            unit_basis = unit_normalize(sent.basis, records)
             for comp, chan in np.ndindex(*sent.basis.shape[:2]):
-                lo, hi = sent.norm_records[comp, chan]
+                lo, hi = records[comp, chan]
                 tiles = tile_patches(unit_basis[comp, chan], 4)
                 symbols = quantize(encode_patches(model, tiles), 12)
                 latent = dequantize(symbols, 12)
@@ -364,6 +366,20 @@ class TestTrainingPath:
         assert unit[0].min() == 0.0 and unit[0].max() == 1.0
         np.testing.assert_allclose(unit[0] * 0.4 + 0.2, images[0], atol=1e-15)
         np.testing.assert_array_equal(unit[1], 0.0)  # flat images map to zero
+
+    def test_norm_records_match_basis_extrema(self):
+        rng = np.random.default_rng(36)
+        code = encode_scalable(
+            rng.random((3, 2, 6, 6)), WbiConfig(components=2, partition=(1, 1))
+        )
+        for level in code.levels:
+            records = norm_records(level.basis)
+            assert records.shape == level.basis.shape[:2] + (2,)
+            for comp in range(level.basis.shape[0]):
+                for chan in range(level.basis.shape[1]):
+                    lo, hi = records[comp, chan]
+                    assert lo == level.basis[comp, chan].min()
+                    assert hi == level.basis[comp, chan].max()
 
     def test_basis_images_are_unit_range(self, field):
         lf, _ = field

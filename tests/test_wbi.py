@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from lflc.wbi import (
+    RIDGE,
+    START_SEED,
     WbiConfig,
     alternate_minimize,
     decode_levels,
@@ -167,9 +169,8 @@ class TestEncodeScalable:
     def test_single_level_bit_exact_with_plain_solver(self):
         rng = np.random.default_rng(31)
         target = rng.random((5, 1, 8, 8))
-        config = WbiConfig(components=4, partition=(4,), seed=7)
-        code = encode_scalable(target, config)
-        codes, basis, history = alternate_minimize(target, 4, config.ridge, config.seed)
+        code = encode_scalable(target, WbiConfig(components=4, partition=(4,)))
+        codes, basis, history = alternate_minimize(target, 4, RIDGE, START_SEED)
         assert code.level_count == 1
         np.testing.assert_array_equal(code.levels[0].codes, codes)
         np.testing.assert_array_equal(code.levels[0].basis, basis)
@@ -181,7 +182,12 @@ class TestEncodeScalable:
             rng.random((4, 1, 8, 8)), WbiConfig(components=4, partition=(2, 1, 1))
         )
         assert code.partition == (2, 1, 1)
-        assert [level.components for level in code.levels] == [(0, 1), (2,), (3,)]
+        assert [level.codes.shape for level in code.levels] == [(2, 4), (1, 4), (1, 4)]
+        assert [level.basis.shape for level in code.levels] == [
+            (2, 1, 8, 8),
+            (1, 1, 8, 8),
+            (1, 1, 8, 8),
+        ]
 
     def test_residual_norm_non_increasing_over_levels(self):
         rng = np.random.default_rng(33)
@@ -217,18 +223,6 @@ class TestEncodeScalable:
             decode_levels(code, 0)
         with pytest.raises(ValueError):
             decode_levels(code, 3)
-
-    def test_norm_records_match_basis_extrema(self):
-        rng = np.random.default_rng(36)
-        code = encode_scalable(
-            rng.random((3, 2, 6, 6)), WbiConfig(components=2, partition=(1, 1))
-        )
-        for level in code.levels:
-            for comp in range(level.basis.shape[0]):
-                for chan in range(level.basis.shape[1]):
-                    lo, hi = level.norm_records[comp, chan]
-                    assert lo == level.basis[comp, chan].min()
-                    assert hi == level.basis[comp, chan].max()
 
 
 class TestWbiConfig:
