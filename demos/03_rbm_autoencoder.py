@@ -13,6 +13,7 @@ import numpy as np
 
 from lflc.dbn import (
     DbnConfig,
+    RbmParams,
     cd_update,
     finetune,
     init_rbm,
@@ -65,16 +66,18 @@ def main():
     bits = rng.integers(0, 2, size=(64, 6)).astype(float)
     bits[:, 3:] = bits[:, :3]  # learnable structure: second half copies first
     params = init_rbm(6, 4, rng)
-    state = None
+    velocity = (0.0, 0.0, 0.0)
     uniform = -6.0 * np.log(2.0)
     ideal = -3.0 * np.log(2.0)
     print("tiny RBM, exact mean log-likelihood under CD-1"
           f" (uniform {uniform:.3f}, ideal {ideal:.3f}):")
     print(f"  epoch    0: {exact_mean_log_likelihood(params, bits):.4f}")
     for epoch in range(1, 1201):
-        params, state = cd_update(
-            params, bits, lr=0.1, momentum=0.5, rng=rng, state=state,
-        )
+        # momentum 0.5 and learning rate 0.1 against the CD-1 gradient
+        grads = cd_update(params, bits, rng)
+        velocity = [0.5 * v - 0.1 * g for v, g in zip(velocity, grads)]
+        params = RbmParams(*(p + v for p, v in zip(
+            (params.w, params.b, params.c), velocity)))
         if epoch % 300 == 0:
             print(f"  epoch {epoch:4d}: {exact_mean_log_likelihood(params, bits):.4f}")
 

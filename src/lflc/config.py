@@ -18,8 +18,8 @@ Settings that no caller varies are module constants, not keys: the solver's
 first step and backtrack limit (layers.INITIAL_STEP, layers.MAX_BACKTRACKS),
 the WBI alternation limit and stopping tolerance (wbi.MAX_ALTERNATIONS,
 wbi.REL_TOLERANCE), the WBI basis-solve ridge and start-code seed
-(wbi.RIDGE, wbi.START_SEED) and one contrastive-divergence step per RBM
-update (dbn.cd_update).
+(wbi.RIDGE, wbi.START_SEED) and the one Gibbs step of each RBM gradient
+(dbn.cd_update computes CD-1).
 
 The QP scale lives here too: the sweep's quality parameter maps onto the
 quantizer depth by quant_bits_for_qp, and DEFAULT_QP_GRID holds one QP per

@@ -8,6 +8,13 @@ network is fine-tuned by backpropagation on mean squared reconstruction
 error. The bottleneck activations are the latent codes the bitstream
 quantizes and entropy-codes.
 
+Both trainers take one momentum step, velocity = momentum * velocity -
+learning_rate * gradient, on a private flat vector whose views are the
+parameters: pretraining steps against cd_update's CD-1 gradient, fine-tuning
+against backprop_gradients'. Built RbmParams and Autoencoder hold read-only
+views of their arrays, so nothing writes into a model through it after its
+finiteness check.
+
 Energy of a visible/hidden pair:
 
     E(v, h) = -sum_ij w[i, j] h_i v_j - sum_j b_j v_j - sum_i c_i h_i
@@ -54,18 +61,23 @@ def _rows(batch, width: int, what: str) -> np.ndarray:
     return batch
 
 
+def _read_only(array) -> np.ndarray:
+    """A read-only float64 view of `array`."""
+    view = np.asarray(array, dtype=np.float64).view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class RbmParams:
-    """Weights (hidden, visible) and the two bias vectors."""
+    """Weights (hidden, visible) and the two bias vectors, read-only."""
 
     w: np.ndarray
     b: np.ndarray  # visible biases, length n
     c: np.ndarray  # hidden biases, length m
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
-        b = np.asarray(self.b, dtype=np.float64)
-        c = np.asarray(self.c, dtype=np.float64)
+        w, b, c = (_read_only(a) for a in (self.w, self.b, self.c))
         if w.ndim != 2 or b.ndim != 1 or c.ndim != 1:
             raise ValueError("w must be a matrix, b and c vectors")
         if w.shape != (c.size, b.size):
@@ -104,46 +116,18 @@ def visible_probabilities(params: RbmParams, hidden: np.ndarray) -> np.ndarray:
     return sigmoid(hidden @ params.w + params.b)
 
 
-@dataclass
-class CdState:
-    """Momentum velocities threaded through successive cd_update calls."""
-
-    vel_w: np.ndarray
-    vel_b: np.ndarray
-    vel_c: np.ndarray
-
-    @classmethod
-    def zeros(cls, params: RbmParams) -> "CdState":
-        return cls(
-            vel_w=np.zeros_like(params.w),
-            vel_b=np.zeros_like(params.b),
-            vel_c=np.zeros_like(params.c),
-        )
-
-
-def cd_update(
-    params: RbmParams,
-    batch: np.ndarray,
-    lr: float = 0.05,
-    momentum: float = 0.5,
-    rng=None,
-    state: CdState | None = None,
-) -> tuple[RbmParams, CdState]:
-    """One CD-1 parameter update on a mini-batch.
+def cd_update(params: RbmParams, batch: np.ndarray, rng) -> tuple[np.ndarray, ...]:
+    """The CD-1 descent direction (grad_w, grad_b, grad_c) on a mini-batch.
 
     Positive statistics come from the data and p(h|data); the negative phase
     runs one Gibbs step in which hidden units are sampled binary and visible
     units keep their probabilities (the final hidden term is also a
-    probability). Momentum velocities live in the returned state; pass it
-    back in to continue a training run.
+    probability). Each gradient is negative minus positive statistics, so a
+    trainer steps against it as it steps against a loss gradient.
     """
     batch = _rows(batch, params.visible_units, "batch")
     if batch.shape[0] == 0:
         raise ValueError("batch is empty")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if state is None:
-        state = CdState.zeros(params)
     count = batch.shape[0]
 
     ph0 = hidden_probabilities(params, batch)
@@ -151,15 +135,30 @@ def cd_update(
     visible = visible_probabilities(params, hidden)
     ph = hidden_probabilities(params, visible)
 
-    grad_w = (ph0.T @ batch - ph.T @ visible) / count
-    grad_b = (batch - visible).mean(axis=0)
-    grad_c = (ph0 - ph).mean(axis=0)
+    grad_w = (ph.T @ visible - ph0.T @ batch) / count
+    grad_b = (visible - batch).mean(axis=0)
+    grad_c = (ph - ph0).mean(axis=0)
+    return grad_w, grad_b, grad_c
 
-    vel_w = momentum * state.vel_w + lr * grad_w
-    vel_b = momentum * state.vel_b + lr * grad_b
-    vel_c = momentum * state.vel_c + lr * grad_c
-    updated = RbmParams(w=params.w + vel_w, b=params.b + vel_b, c=params.c + vel_c)
-    return updated, CdState(vel_w=vel_w, vel_b=vel_b, vel_c=vel_c)
+
+def _flat_copy(arrays) -> tuple[list[np.ndarray], np.ndarray]:
+    """Copies of `arrays` as views of one new flat vector, and that vector."""
+    flat = np.concatenate([a.ravel() for a in arrays])
+    views, start = [], 0
+    for a in arrays:
+        views.append(flat[start : start + a.size].reshape(a.shape))
+        start += a.size
+    return views, flat
+
+
+def _momentum_step(flat, velocity, grads, lr: float, momentum: float) -> None:
+    """velocity = momentum * velocity - lr * grad, then flat += velocity, in
+    place, for gradients `grads` laid out in the order of flat's views."""
+    grad = np.concatenate([g.ravel() for g in grads])
+    velocity *= momentum
+    grad *= lr
+    velocity -= grad
+    flat += velocity
 
 
 @dataclass(frozen=True)
@@ -202,9 +201,11 @@ def _minibatches(count: int, batch_size: int, rng) -> list[np.ndarray]:
 def pretrain_stack(data, config: DbnConfig) -> list[RbmParams]:
     """Greedy layer-by-layer CD-1 pretraining of the encoder RBM chain.
 
-    Each trained RBM's hidden probabilities become the visible data of the
-    next layer. With epochs = 0 the seeded initial parameters come back
-    unchanged, which pins the initialization for reproducibility tests.
+    Each RBM trains as views of one flat vector with momentum steps against
+    cd_update's gradient, and its trained hidden probabilities become the
+    visible data of the next layer. With epochs = 0 or learning_rate = 0
+    the seeded initial parameters come back unchanged, which pins the
+    initialization for reproducibility tests.
     """
     visible = np.asarray(data, dtype=np.float64)
     if visible.ndim != 2 or visible.shape[0] == 0:
@@ -212,18 +213,17 @@ def pretrain_stack(data, config: DbnConfig) -> list[RbmParams]:
     rng = np.random.default_rng(config.seed)
     stack = []
     for size in config.layer_sizes:
-        params = init_rbm(visible.shape[1], size, rng)
-        state = CdState.zeros(params)
+        init = init_rbm(visible.shape[1], size, rng)
+        views, flat = _flat_copy((init.w, init.b, init.c))
+        work = RbmParams(*views)
+        velocity = np.zeros_like(flat)
         for _ in range(config.epochs):
             for index in _minibatches(visible.shape[0], config.batch_size, rng):
-                params, state = cd_update(
-                    params,
-                    visible[index],
-                    lr=config.learning_rate,
-                    momentum=config.momentum,
-                    rng=rng,
-                    state=state,
+                grads = cd_update(work, visible[index], rng)
+                _momentum_step(
+                    flat, velocity, grads, config.learning_rate, config.momentum
                 )
+        params = RbmParams(*views)
         stack.append(params)
         visible = hidden_probabilities(params, visible)
     return stack
@@ -231,14 +231,15 @@ def pretrain_stack(data, config: DbnConfig) -> list[RbmParams]:
 
 @dataclass(frozen=True)
 class Autoencoder:
-    """Affine layers with a logistic activation after every one of them."""
+    """Affine layers with a logistic activation after every one of them;
+    the weight and bias arrays are read-only."""
 
     weights: tuple[np.ndarray, ...]  # per layer, (out_dim, in_dim)
     biases: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        weights = tuple(np.asarray(w, dtype=np.float64) for w in self.weights)
-        biases = tuple(np.asarray(b, dtype=np.float64) for b in self.biases)
+        weights = tuple(_read_only(w) for w in self.weights)
+        biases = tuple(_read_only(b) for b in self.biases)
         if len(weights) != len(biases) or not weights:
             raise ValueError("need matching non-empty weight and bias lists")
         if len(weights) % 2 != 0:
@@ -343,8 +344,9 @@ def backprop_gradients(ae: Autoencoder, batch: np.ndarray):
     batch = activations[0]
     count = batch.shape[0]
     recon = activations[-1]
-    loss = 0.5 * float(np.sum((recon - batch) ** 2)) / count
-    delta = (recon - batch) / count * recon * (1.0 - recon)
+    error = recon - batch
+    loss = 0.5 * float(np.sum(error * error)) / count
+    delta = error / count * recon * (1.0 - recon)
     grads_w = [None] * len(ae.weights)
     grads_b = [None] * len(ae.weights)
     for layer in range(len(ae.weights) - 1, -1, -1):
@@ -364,19 +366,6 @@ def _copy(ae: Autoencoder) -> Autoencoder:
     )
 
 
-def _flat_copy(ae: Autoencoder) -> tuple[Autoencoder, np.ndarray]:
-    """A copy of the network whose weights, then biases, are views of one
-    flat vector, and that vector."""
-    arrays = ae.weights + ae.biases
-    flat = np.concatenate([a.ravel() for a in arrays])
-    views, start = [], 0
-    for a in arrays:
-        views.append(flat[start : start + a.size].reshape(a.shape))
-        start += a.size
-    depth = len(ae.weights)
-    return Autoencoder(weights=tuple(views[:depth]), biases=tuple(views[depth:])), flat
-
-
 def finetune(ae: Autoencoder, data, config: DbnConfig) -> Autoencoder:
     """Mini-batch momentum backprop on reconstruction MSE.
 
@@ -385,23 +374,24 @@ def finetune(ae: Autoencoder, data, config: DbnConfig) -> Autoencoder:
     so the result never ends worse than it started even if the last epochs
     overshoot. The input network is left as it was. The copy's parameters
     are views of one flat vector, so each minibatch's momentum step is four
-    whole-vector operations.
+    whole-vector operations, the same step pretrain_stack takes.
     """
     vectors = np.asarray(data, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[0] == 0:
         raise ValueError("training data must be a non-empty (count, dim) array")
     rng = np.random.default_rng(config.seed + 1)
-    work, flat = _flat_copy(ae)
+    depth = len(ae.weights)
+    views, flat = _flat_copy(ae.weights + ae.biases)
+    work = Autoencoder(weights=tuple(views[:depth]), biases=tuple(views[depth:]))
     velocity = np.zeros_like(flat)
     best, best_error = _copy(work), reconstruction_mse(work, vectors)
     for _ in range(config.epochs):
         for index in _minibatches(vectors.shape[0], config.batch_size, rng):
             grads_w, grads_b, _ = backprop_gradients(work, vectors[index])
-            grad = np.concatenate([g.ravel() for g in grads_w + grads_b])
-            velocity *= config.momentum
-            grad *= config.learning_rate
-            velocity -= grad
-            flat += velocity
+            _momentum_step(
+                flat, velocity, grads_w + grads_b, config.learning_rate,
+                config.momentum,
+            )
         error = reconstruction_mse(work, vectors)
         if error < best_error:
             best, best_error = _copy(work), error

@@ -1,6 +1,7 @@
 """RBM energy model, CD training, unrolled autoencoder, patch plumbing."""
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from lflc import dbn
 from lflc.dbn import (
     Autoencoder,
-    CdState,
     DbnConfig,
     RbmParams,
     backprop_gradients,
@@ -305,42 +305,22 @@ class TestLikelihoodGradient:
 
 
 class TestCdUpdate:
-    def test_zero_learning_rate_is_identity(self):
-        rng = np.random.default_rng(9)
-        params = random_params(rng, 4, 3)
-        batch = (rng.random((8, 4)) < 0.5).astype(float)
-        updated, _ = cd_update(params, batch, lr=0.0, momentum=0.9, rng=rng)
-        assert np.array_equal(updated.w, params.w)
-        assert np.array_equal(updated.b, params.b)
-        assert np.array_equal(updated.c, params.c)
-
     def test_deterministic_under_seeded_rng(self):
         params = random_params(np.random.default_rng(10), 4, 2)
         batch = (np.random.default_rng(11).random((6, 4)) < 0.5).astype(float)
-        a, _ = cd_update(params, batch, rng=np.random.default_rng(42))
-        b, _ = cd_update(params, batch, rng=np.random.default_rng(42))
-        assert np.array_equal(a.w, b.w)
-        assert np.array_equal(a.b, b.b)
-        assert np.array_equal(a.c, b.c)
-
-    def test_momentum_state_threads_between_calls(self):
-        params = random_params(np.random.default_rng(12), 3, 2)
-        batch = (np.random.default_rng(13).random((6, 3)) < 0.5).astype(float)
-        first, state = cd_update(params, batch, rng=np.random.default_rng(0))
-        threaded, _ = cd_update(
-            first, batch, momentum=0.9, rng=np.random.default_rng(1), state=state
-        )
-        fresh, _ = cd_update(
-            first, batch, momentum=0.9, rng=np.random.default_rng(1), state=None
-        )
-        assert not np.array_equal(threaded.w, fresh.w)
+        a = cd_update(params, batch, np.random.default_rng(42))
+        b = cd_update(params, batch, np.random.default_rng(42))
+        assert [g.shape for g in a] == [(2, 4), (4,), (2,)]
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
 
     def test_validation(self):
         params = random_params(np.random.default_rng(14), 3, 2)
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            cd_update(params, np.zeros((0, 3)))
+            cd_update(params, np.zeros((0, 3)), rng)
         with pytest.raises(ValueError):
-            cd_update(params, np.zeros((4, 2)))
+            cd_update(params, np.zeros((4, 2)), rng)
 
     def test_training_halves_reconstruction_cross_entropy(self):
         def cross_entropy(params, batch):
@@ -353,11 +333,13 @@ class TestCdUpdate:
         rng = np.random.default_rng(0)
         params = init_rbm(4, 2, rng)
         batch = np.array([[1, 1, 0, 0], [0, 0, 1, 1]] * 8, dtype=float)
-        state = CdState.zeros(params)
+        velocity = (0.0, 0.0, 0.0)
         before = cross_entropy(params, batch)
         for _ in range(200):
-            params, state = cd_update(
-                params, batch, lr=0.1, momentum=0.5, rng=rng, state=state
+            grads = cd_update(params, batch, rng)
+            velocity = [0.5 * v - 0.1 * g for v, g in zip(velocity, grads)]
+            params = RbmParams(
+                *(p + v for p, v in zip((params.w, params.b, params.c), velocity))
             )
         after = cross_entropy(params, batch)
         assert after <= 0.5 * before
@@ -376,6 +358,26 @@ class TestPretrain:
             assert np.array_equal(params.b, expected.b)
             assert np.array_equal(params.c, expected.c)
             width = size
+
+    def test_zero_learning_rate_returns_seeded_init(self, monkeypatch):
+        inits = []
+
+        def recording_init(*args):
+            inits.append(init_rbm(*args))
+            return inits[-1]
+
+        monkeypatch.setattr(dbn, "init_rbm", recording_init)
+        data = (np.random.default_rng(9).random((20, 4)) < 0.5).astype(float)
+        config = DbnConfig(
+            layer_sizes=(3, 5, 2, 1), epochs=3, learning_rate=0.0,
+            momentum=0.9, batch_size=8,
+        )
+        stack = pretrain_stack(data, config)
+        assert len(inits) == len(stack) == 4
+        for params, expected in zip(stack, inits):
+            assert np.array_equal(params.w, expected.w)
+            assert np.array_equal(params.b, expected.b)
+            assert np.array_equal(params.c, expected.c)
 
     def test_layer_dims_chain(self):
         data = np.random.default_rng(16).random((30, 9))
@@ -416,8 +418,10 @@ class TestAutoencoder:
         rng = np.random.default_rng(18)
         stack = [random_params(rng, 4, 3)]
         ae = unroll(stack)
-        stack[0].w[0, 0] += 100.0
-        assert ae.weights[0][0, 0] != stack[0].w[0, 0]
+        for params in stack:
+            for model_array in ae.weights + ae.biases:
+                for rbm_array in (params.w, params.b, params.c):
+                    assert not np.shares_memory(model_array, rbm_array)
 
     def test_unroll_rejects_mismatched_chain(self):
         rng = np.random.default_rng(19)
@@ -735,11 +739,29 @@ class TestModelIo:
     def test_non_finite_weight_rejected(self, tmp_path):
         rng = np.random.default_rng(38)
         ae = random_autoencoder(rng, (4, 2))
-        ae.weights[1][0, 1] = np.nan
         path = tmp_path / "nan.dbn"
         save_model(path, ae)
+        raw = bytearray(path.read_bytes())
+        # weights[1][0, 1]: the second f64 of the last layer, before its biases
+        start = len(raw) - 8 * (ae.weights[1].size + ae.biases[1].size) + 8
+        raw[start : start + 8] = struct.pack("<d", np.nan)
+        path.write_bytes(bytes(raw))
         with pytest.raises(ModelError, match="non-finite"):
             load_model(path)
+
+    @pytest.mark.parametrize("source", ["built", "loaded"])
+    def test_model_arrays_are_read_only(self, tmp_path, source):
+        ae = random_autoencoder(np.random.default_rng(39), (4, 2))
+        if source == "loaded":
+            save_model(tmp_path / "net.dbn", ae)
+            ae = load_model(tmp_path / "net.dbn")
+        for array in ae.weights + ae.biases:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = np.nan
+        params = random_params(np.random.default_rng(40), 3, 2)
+        for array in (params.w, params.b, params.c):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = np.nan
 
 
 class TestDbnConfig:

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import centered_depths, random_truth_field
 from lflc import bitstream, pipeline
@@ -417,3 +419,39 @@ class TestTrainingPath:
         implicit = encode_light_field(lf, None, lossless=True)
         explicit = encode_light_field(lf, None, default_config(), lossless=True)
         assert implicit.container == explicit.container
+
+
+@pytest.fixture(scope="module")
+def criterion_10_containers():
+    """Criterion 10's Q10 lossy container (222 B) with its model, and its
+    lossless twin (4 234 B)."""
+    field, _, _ = random_truth_field(
+        np.random.default_rng(10), 2, 1, 16, 16, (3, 3)
+    )
+    config = small_config(iterations=15)
+    model = random_model(np.random.default_rng(11))
+    return {
+        False: (encode_light_field(field, model, config, quant_bits=10).container, model),
+        True: (encode_light_field(field, None, config, lossless=True).container, None),
+    }
+
+
+class TestCorruption:
+    @pytest.mark.parametrize("lossless", [False, True], ids=["lossy", "lossless"])
+    @settings(max_examples=500, deadline=1000)
+    @given(data=st.data())
+    def test_flip_or_cut_decodes_or_raises_data_error(
+        self, criterion_10_containers, lossless, data
+    ):
+        container, model = criterion_10_containers[lossless]
+        if data.draw(st.booleans(), label="flip"):
+            bit = data.draw(st.integers(0, 8 * len(container) - 1), label="bit")
+            corrupt = bytearray(container)
+            corrupt[bit // 8] ^= 1 << (bit % 8)
+            corrupt = bytes(corrupt)
+        else:
+            corrupt = container[: data.draw(st.integers(0, len(container) - 1), label="cut")]
+        try:
+            decode_light_field(corrupt, model)
+        except DataError:
+            pass
