@@ -9,15 +9,15 @@ basis images (or the raw 64-bit images in lossless mode). One rule splits the
 bytes: a prefix that ends on a section boundary is itself a valid container
 for the levels it covers (the whole point of the format), a cut inside a
 section raises TruncatedSectionError and bytes after the last section raise
-ContainerError. The reader also rejects an empty view grid, more than
-MAX_VIEWS_PER_AXIS views along either axis or more than MAX_FIELD_SAMPLES
-light-field samples (both before it sizes anything from the header), layer
-depths that are not strictly increasing, non-finite or inverted (min > max)
-normalization records, non-finite raw basis samples, a lossy section whose
-symbol count is not its geometry's (checked before decoding) and entropy
-streams other than the exact bytes the encoder writes for their symbols with a
-ContainerError (a stream too short for its symbols raises
-TruncatedStreamError).
+ContainerError.
+
+ContainerHeader and LevelPayload hold the rules on their contents (see their
+docstrings): building either raises ValueError, which the reader turns into
+ContainerError, so the writer refuses whatever the reader does. The reader
+alone checks the bytes: magic, version and flags, the stored layer bound 1/K,
+section lengths and counts (a lossy symbol count against its geometry, before
+decoding) and that each entropy stream is exactly the encoder's bytes for its
+symbols (TruncatedStreamError if it is too short, else ContainerError).
 
 The entropy stage is a 32-bit binary arithmetic coder in the classic
 low/high/underflow formulation (Witten, Neal & Cleary 1987), driven MSB-first
@@ -68,9 +68,14 @@ def check_quant_bits(bits: int) -> None:
 
 def check_field_size(angular_dims, spatial_dims, channels: int) -> None:
     """Raise ValueError unless a (S, T) x (W, H) x channels light field fits
-    the container: at most MAX_VIEWS_PER_AXIS views along each axis and at
-    most MAX_FIELD_SAMPLES samples in all."""
+    the container: 1 or 3 channels, a non-empty view grid, at most
+    MAX_VIEWS_PER_AXIS views along each axis and at most MAX_FIELD_SAMPLES
+    samples in all."""
     (S, T), (W, H) = angular_dims, spatial_dims
+    if channels not in (1, 3):
+        raise ValueError(f"channel count must be 1 or 3, got {channels}")
+    if min(S, T, W, H) < 1:
+        raise ValueError(f"empty view grid {S}x{T} of {W}x{H} px")
     if max(S, T) > MAX_VIEWS_PER_AXIS:
         raise ValueError(
             f"view grid {S}x{T} exceeds {MAX_VIEWS_PER_AXIS} views per axis"
@@ -224,7 +229,12 @@ def entropy_decode(data: bytes, count: int, bits: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ContainerHeader:
-    """Everything global a decoder needs before reading any section."""
+    """Everything global a decoder needs before reading any section. Building
+    one raises ValueError unless check_field_size passes, there are layers
+    and levels and no level is empty, the depths strictly increase,
+    check_quant_bits passes, a lossy layout has a patch of at least 1 and at
+    least one layer size, and the normalization records are (N, C, 2),
+    finite and have min <= max."""
 
     angular_dims: tuple[int, int]  # (S, T)
     spatial_dims: tuple[int, int]  # (W, H)
@@ -238,21 +248,29 @@ class ContainerHeader:
     norm_records: np.ndarray  # (N, C, 2) per-basis-image (min, max)
 
     def __post_init__(self):
-        records = np.ascontiguousarray(
-            np.asarray(self.norm_records, dtype=np.float64)
-        )
-        total = sum(self.partition)
-        if records.shape != (total, self.channels, 2):
-            raise ValueError(
-                f"norm records must be ({total}, {self.channels}, 2), "
-                f"got {records.shape}"
-            )
-        object.__setattr__(self, "angular_dims", tuple(map(int, self.angular_dims)))
-        object.__setattr__(self, "spatial_dims", tuple(map(int, self.spatial_dims)))
-        object.__setattr__(self, "depths", tuple(map(int, self.depths)))
-        object.__setattr__(self, "partition", tuple(map(int, self.partition)))
-        object.__setattr__(self, "layer_sizes", tuple(map(int, self.layer_sizes)))
+        for name in ("angular_dims", "spatial_dims", "depths", "partition",
+                     "layer_sizes"):
+            object.__setattr__(self, name, tuple(map(int, getattr(self, name))))
+        records = np.array(self.norm_records, dtype=np.float64, order="C")
         object.__setattr__(self, "norm_records", records)
+        check_field_size(self.angular_dims, self.spatial_dims, self.channels)
+        depths, partition = self.depths, self.partition
+        if not depths or min(partition, default=0) < 1:
+            raise ValueError("degenerate layer or level structure")
+        if any(b <= a for a, b in zip(depths, depths[1:])):
+            raise ValueError(f"layer depths {depths} are not strictly increasing")
+        check_quant_bits(self.quant_bits)
+        if not self.lossless and (self.patch < 1 or not self.layer_sizes):
+            raise ValueError(
+                f"lossy layout patch {self.patch}, layer sizes {self.layer_sizes}"
+            )
+        shape = (sum(partition), self.channels, 2)
+        if records.shape != shape:
+            raise ValueError(f"norm records must be {shape}, got {records.shape}")
+        if not np.all(np.isfinite(records)):
+            raise ValueError("normalization records hold non-finite values")
+        if np.any(records[..., 0] > records[..., 1]):
+            raise ValueError("normalization record with min above max")
 
     @property
     def layer_count(self) -> int:
@@ -274,11 +292,20 @@ class ContainerHeader:
 
 @dataclass(frozen=True)
 class LevelPayload:
-    """One section's worth of encoded data, still symbol-domain."""
+    """One section's worth of encoded data, still symbol-domain. Building one
+    raises ValueError unless the codes are a matrix of 0s and 1s and the raw
+    basis images, if any, are finite."""
 
     codes: np.ndarray  # (n, K) uint8 binary selection matrix
     symbols: np.ndarray | None = None  # quantized latent symbols (lossy mode)
     basis_raw: np.ndarray | None = None  # (n, C, H, W) float64 (lossless mode)
+
+    def __post_init__(self):
+        codes = np.asarray(self.codes)
+        if codes.ndim != 2 or not np.all((codes == 0) | (codes == 1)):
+            raise ValueError("level codes must be a matrix of 0s and 1s")
+        if self.basis_raw is not None and not np.all(np.isfinite(self.basis_raw)):
+            raise ValueError("raw basis images hold non-finite samples")
 
 
 @dataclass(frozen=True)
@@ -331,11 +358,11 @@ def _parse_header(cursor: _Cursor) -> ContainerHeader:
     version, flags = cursor.unpack("<HH", "version")
     if version != VERSION:
         raise ContainerError(f"unsupported container version {version}")
+    if flags > 1:
+        raise ContainerError(f"unknown container flags {flags:#x}")
     S, T, W, H, channels = cursor.unpack("<5I", "dimensions")
-    if channels not in (1, 3):
-        raise ContainerError(f"channel count must be 1 or 3, got {channels}")
     try:
-        check_field_size((S, T), (W, H), channels)
+        check_field_size((S, T), (W, H), channels)  # before any size is read
     except ValueError as exc:
         raise ContainerError(str(exc)) from None
     (layer_count,) = cursor.unpack("<I", "layer count")
@@ -347,37 +374,16 @@ def _parse_header(cursor: _Cursor) -> ContainerHeader:
     (n_sizes,) = cursor.unpack("<I", "layer size count")
     layer_sizes = cursor.unpack(f"<{n_sizes}I", "layer sizes")
     (quant_bits,) = cursor.unpack("<I", "quantizer bits")
-    total = sum(partition)
-    raw = cursor.take(8 * total * channels * 2, "normalization records")
-    records = np.frombuffer(raw, dtype="<f8").reshape(total, channels, 2).copy()
-    if min(S, T, W, H) < 1:
-        raise ContainerError(f"empty view grid {S}x{T} of {W}x{H} px")
-    if layer_count < 1 or level_count < 1 or min(partition, default=0) < 1:
-        raise ContainerError("degenerate layer or level structure")
-    if any(b <= a for a, b in zip(depths, depths[1:])):
-        raise ContainerError(f"layer depths {depths} are not strictly increasing")
-    if layer_bound != 1.0 / layer_count:
+    raw = cursor.take(16 * sum(partition) * channels, "normalization records")
+    records = np.frombuffer(raw, dtype="<f8").reshape(-1, channels, 2)
+    try:
+        header = ContainerHeader((S, T), (W, H), channels, depths, partition, patch,
+                                 layer_sizes, quant_bits, bool(flags), records)
+    except ValueError as exc:
+        raise ContainerError(str(exc)) from None
+    if layer_bound != header.layer_bound:
         raise ContainerError(f"layer bound {layer_bound!r} is not 1/{layer_count}")
-    if not MIN_QUANT_BITS <= quant_bits <= MAX_QUANT_BITS:
-        raise ContainerError(f"quantizer bits {quant_bits} out of range")
-    if not flags & 1 and (patch < 1 or not layer_sizes):
-        raise ContainerError(f"lossy layout patch {patch}, layer sizes {layer_sizes}")
-    if not np.all(np.isfinite(records)):
-        raise ContainerError("normalization records hold non-finite values")
-    if np.any(records[..., 0] > records[..., 1]):
-        raise ContainerError("normalization record with min above max")
-    return ContainerHeader(
-        angular_dims=(S, T),
-        spatial_dims=(W, H),
-        channels=channels,
-        depths=depths,
-        partition=partition,
-        patch=patch,
-        layer_sizes=layer_sizes,
-        quant_bits=quant_bits,
-        lossless=bool(flags & 1),
-        norm_records=records,
-    )
+    return header
 
 
 def read_header(data: bytes) -> ContainerHeader:
@@ -402,11 +408,9 @@ def _pack_section(header: ContainerHeader, payload: LevelPayload, n: int) -> byt
             raise ValueError("lossless container needs raw basis images")
         W, H = header.spatial_dims
         basis = np.asarray(payload.basis_raw, dtype=np.float64)
-        if basis.shape != (n, header.channels, H, W):
-            raise ValueError(
-                f"raw basis must be ({n}, {header.channels}, {H}, {W}), "
-                f"got {basis.shape}"
-            )
+        shape = (n, header.channels, H, W)
+        if basis.shape != shape:
+            raise ValueError(f"raw basis must be {shape}, got {basis.shape}")
         body.append(np.ascontiguousarray(basis, dtype="<f8").tobytes())
     else:
         if payload.symbols is None:
@@ -416,9 +420,7 @@ def _pack_section(header: ContainerHeader, payload: LevelPayload, n: int) -> byt
         if symbols.size != count:
             raise ValueError(f"level symbols must number {count}, got {symbols.size}")
         stream = entropy_encode(symbols, header.quant_bits)
-        body.append(struct.pack("<I", symbols.size))
-        body.append(struct.pack("<I", len(stream)))
-        body.append(stream)
+        body += [struct.pack("<II", symbols.size, len(stream)), stream]
     blob = b"".join(body)
     return struct.pack(">I", len(blob)) + blob
 
@@ -427,21 +429,18 @@ def _parse_section(header: ContainerHeader, blob: bytes, n: int) -> LevelPayload
     cursor = _Cursor(blob)
     (stored_n,) = cursor.unpack("<I", "component count")
     if stored_n != n:
-        raise ContainerError(
-            f"section declares {stored_n} components, header says {n}"
-        )
+        raise ContainerError(f"section declares {stored_n} components, header says {n}")
     K = header.layer_count
     packed = cursor.take((n * K + 7) // 8, "code matrix")
-    codes = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n * K)
-    codes = codes.reshape(n, K).astype(np.uint8)
+    codes = np.unpackbits(np.frombuffer(packed, np.uint8), count=n * K).reshape(n, K)
     if header.lossless:
         W, H = header.spatial_dims
-        count = n * header.channels * H * W
-        raw = cursor.take(8 * count, "raw basis images")
+        raw = cursor.take(8 * n * header.channels * H * W, "raw basis images")
         basis = np.frombuffer(raw, dtype="<f8").reshape(n, header.channels, H, W)
-        if not np.all(np.isfinite(basis)):
-            raise ContainerError("raw basis images hold non-finite samples")
-        payload = LevelPayload(codes=codes, basis_raw=basis.copy())
+        try:
+            payload = LevelPayload(codes=codes, basis_raw=basis.copy())
+        except ValueError as exc:
+            raise ContainerError(str(exc)) from None
     else:
         (symbol_count,) = cursor.unpack("<I", "symbol count")
         count = _section_symbols(header, n)

@@ -12,8 +12,8 @@ Both trainers take one momentum step, velocity = momentum * velocity -
 learning_rate * gradient, on a private flat vector whose views are the
 parameters: pretraining steps against cd_update's CD-1 gradient, fine-tuning
 against backprop_gradients'. Built RbmParams and Autoencoder hold read-only
-views of their arrays, so nothing writes into a model through it after its
-finiteness check.
+copies of their arrays, so nothing changes a model after its finiteness
+check, through the model or through the arrays it was built from.
 
 Energy of a visible/hidden pair:
 
@@ -62,10 +62,19 @@ def _rows(batch, width: int, what: str) -> np.ndarray:
 
 
 def _read_only(array) -> np.ndarray:
-    """A read-only float64 view of `array`."""
-    view = np.asarray(array, dtype=np.float64).view()
-    view.flags.writeable = False
-    return view
+    """A read-only C-contiguous float64 copy of `array`."""
+    copy = np.array(array, dtype=np.float64, order="C")
+    copy.flags.writeable = False
+    return copy
+
+
+def _unchecked(cls, **fields):
+    """A `cls` model holding `fields` as they are, with no check or copy: the
+    trainers' working model over their flat vector, never handed out."""
+    model = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(model, name, value)
+    return model
 
 
 @dataclass(frozen=True)
@@ -215,7 +224,7 @@ def pretrain_stack(data, config: DbnConfig) -> list[RbmParams]:
     for size in config.layer_sizes:
         init = init_rbm(visible.shape[1], size, rng)
         views, flat = _flat_copy((init.w, init.b, init.c))
-        work = RbmParams(*views)
+        work = _unchecked(RbmParams, w=views[0], b=views[1], c=views[2])
         velocity = np.zeros_like(flat)
         for _ in range(config.epochs):
             for index in _minibatches(visible.shape[0], config.batch_size, rng):
@@ -223,9 +232,8 @@ def pretrain_stack(data, config: DbnConfig) -> list[RbmParams]:
                 _momentum_step(
                     flat, velocity, grads, config.learning_rate, config.momentum
                 )
-        params = RbmParams(*views)
-        stack.append(params)
-        visible = hidden_probabilities(params, visible)
+        stack.append(RbmParams(*views))
+        visible = hidden_probabilities(stack[-1], visible)
     return stack
 
 
@@ -285,8 +293,8 @@ def unroll(stack: list[RbmParams]) -> Autoencoder:
     """Unfold the RBM chain into an untied symmetric autoencoder.
 
     Encoder layer i carries RBM i's recognition direction (w, c); the decoder
-    appends the generative directions (w^T, b) in reverse order. All arrays
-    are copies, so fine-tuning never writes back into the RBMs.
+    appends the generative directions (w^T, b) in reverse order. The
+    Autoencoder copies every array, so it shares no memory with the RBMs.
     """
     if not stack:
         raise ValueError("empty RBM stack")
@@ -296,11 +304,8 @@ def unroll(stack: list[RbmParams]) -> Autoencoder:
                 f"stack dims do not chain: {lower.hidden_units} hidden feeding "
                 f"{upper.visible_units} visible"
             )
-    weights = [params.w.copy() for params in stack]
-    biases = [params.c.copy() for params in stack]
-    for params in reversed(stack):
-        weights.append(params.w.T.copy())
-        biases.append(params.b.copy())
+    weights = [p.w for p in stack] + [p.w.T for p in reversed(stack)]
+    biases = [p.c for p in stack] + [p.b for p in reversed(stack)]
     return Autoencoder(weights=tuple(weights), biases=tuple(biases))
 
 
@@ -359,13 +364,6 @@ def backprop_gradients(ae: Autoencoder, batch: np.ndarray):
     return grads_w, grads_b, loss
 
 
-def _copy(ae: Autoencoder) -> Autoencoder:
-    return Autoencoder(
-        weights=tuple(w.copy() for w in ae.weights),
-        biases=tuple(b.copy() for b in ae.biases),
-    )
-
-
 def finetune(ae: Autoencoder, data, config: DbnConfig) -> Autoencoder:
     """Mini-batch momentum backprop on reconstruction MSE.
 
@@ -382,9 +380,11 @@ def finetune(ae: Autoencoder, data, config: DbnConfig) -> Autoencoder:
     rng = np.random.default_rng(config.seed + 1)
     depth = len(ae.weights)
     views, flat = _flat_copy(ae.weights + ae.biases)
-    work = Autoencoder(weights=tuple(views[:depth]), biases=tuple(views[depth:]))
+    weights, biases = tuple(views[:depth]), tuple(views[depth:])
+    work = _unchecked(Autoencoder, weights=weights, biases=biases)
     velocity = np.zeros_like(flat)
-    best, best_error = _copy(work), reconstruction_mse(work, vectors)
+    best = Autoencoder(work.weights, work.biases)
+    best_error = reconstruction_mse(work, vectors)
     for _ in range(config.epochs):
         for index in _minibatches(vectors.shape[0], config.batch_size, rng):
             grads_w, grads_b, _ = backprop_gradients(work, vectors[index])
@@ -394,7 +394,7 @@ def finetune(ae: Autoencoder, data, config: DbnConfig) -> Autoencoder:
             )
         error = reconstruction_mse(work, vectors)
         if error < best_error:
-            best, best_error = _copy(work), error
+            best, best_error = Autoencoder(work.weights, work.biases), error
     return best
 
 
@@ -487,11 +487,10 @@ def load_model(path) -> Autoencoder:
         for layer in range(layer_count):
             in_dim, out_dim = sizes[layer], sizes[layer + 1]
             w = np.frombuffer(raw, dtype="<f8", count=out_dim * in_dim, offset=offset)
+            weights.append(w.reshape(out_dim, in_dim))
             offset += 8 * out_dim * in_dim
-            b = np.frombuffer(raw, dtype="<f8", count=out_dim, offset=offset)
+            biases.append(np.frombuffer(raw, dtype="<f8", count=out_dim, offset=offset))
             offset += 8 * out_dim
-            weights.append(w.reshape(out_dim, in_dim).copy())
-            biases.append(b.copy())
     except (struct.error, ValueError) as exc:
         raise ModelError(f"truncated or malformed model file: {exc}") from exc
     if offset != len(raw):

@@ -110,13 +110,15 @@ def rd_sweep(
 
     Every quality maps to its quantizer depth before any encode starts; two
     qualities on one depth would code the same rate twice, which the BD fit
-    rejects, so they raise ValueError up front. Quality settings may run on
-    parallel workers; each setting's encode is fully deterministic, and rows
-    come back sorted by rate, so the output is independent of worker count
-    and completion order. The workers are threads that share the GIL: on a
-    2-vCPU host 2 or 3 of them made every benchmark sweep 1.3-3.4x slower
-    than 1.
+    rejects, so they raise ValueError up front, as does workers < 1. Quality
+    settings may run on parallel workers; each setting's encode is fully
+    deterministic, and rows come back sorted by rate, so the output is
+    independent of worker count and completion order. The workers are
+    threads that share the GIL: on a 2-vCPU host 2 or 3 of them made every
+    benchmark sweep 1.3-3.4x slower than 1.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     qualities = tuple(qualities if qualities is not None else config.qualities)
     if not qualities:
         raise ValueError("quality list is empty")

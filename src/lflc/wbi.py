@@ -87,7 +87,7 @@ class WbiCode:
         return len(self.levels)
 
 
-def solve_basis(target, codes: np.ndarray, ridge: float = 1e-8) -> np.ndarray:
+def solve_basis(target, codes: np.ndarray, ridge: float = RIDGE) -> np.ndarray:
     """Least-squares basis images for fixed codes.
 
     Solves, independently for every pixel and channel, the ridge system

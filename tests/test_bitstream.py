@@ -1,5 +1,6 @@
 """Quantizer, arithmetic coder, container format."""
 
+import dataclasses
 import hashlib
 import struct
 import time
@@ -390,8 +391,12 @@ class TestContainer:
     @pytest.mark.parametrize("channels", [0, 2])
     def test_channel_count_other_than_one_or_three_rejected(self, lossless, channels):
         rng = np.random.default_rng(58)
-        header = make_header(levels=(1, 2), channels=channels, lossless=lossless)
-        data = write_container(header, make_payloads(header, rng))
+        header = make_header(levels=(1, 2), lossless=lossless)
+        data = bytearray(write_container(header, make_payloads(header, rng)))
+        offset = struct.calcsize("<4sHH4I")
+        assert struct.unpack_from("<I", data, offset) == (1,)
+        struct.pack_into("<I", data, offset, channels)
+        data = bytes(data)
         for read in (read_header, read_container, decode_light_field):
             with pytest.raises(ContainerError, match="channel count"):
                 read(data)
@@ -623,6 +628,135 @@ class TestContainer:
         codes = np.ones((1, 3), dtype=np.uint8)
         with pytest.raises(ValueError):
             write_container(header, [LevelPayload(codes=codes, symbols=np.zeros(4, np.uint32))])
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"channels": 2, "norm_records": np.tile([0.0, 1.0], (4, 2, 1))},
+            {"depths": (1, 0, -1)},
+            {"quant_bits": 1},
+            {"norm_records": np.array([[[0.0, np.nan]]] * 4)},
+            {"norm_records": np.array([[[0.75, 0.25]]] * 4)},
+            {"spatial_dims": (0, 4)},
+            {"patch": 0},
+            {"layer_sizes": ()},
+        ],
+        ids=["2-channels", "decreasing-depths", "1-bit", "nan-record",
+             "inverted-record", "0x4-px", "lossy-patch-0", "no-layer-sizes"],
+    )
+    def test_header_the_reader_refuses_cannot_be_built(self, fields):
+        with pytest.raises(ValueError):
+            dataclasses.replace(make_header(), **fields)
+
+    def test_payload_the_reader_refuses_cannot_be_built(self):
+        header = make_header(levels=(1,), lossless=True)
+        (payload,) = make_payloads(header, np.random.default_rng(67))
+        basis = payload.basis_raw.copy()
+        basis[0, 0, 1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            LevelPayload(codes=payload.codes, basis_raw=basis)
+        for codes in (np.array([[1, 2, 0]]), np.array([1, 0, 1]), np.array([[0.5, 1, 0]])):
+            with pytest.raises(ValueError, match="0s and 1s"):
+                LevelPayload(codes=codes, symbols=np.zeros(24, np.uint32))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_header_is_refused_or_reads_back_unchanged(self, data):
+        """Header fields drawn valid, or invalid for the fields in `broken`:
+        a broken header cannot be built (ValueError), and the container
+        written from any other reads back as the same header."""
+        broken = data.draw(st.sets(st.sampled_from(
+            ["views", "pixels", "channels", "depths", "partition", "patch",
+             "layer_sizes", "quant_bits", "records"]), max_size=2), label="broken")
+        side = st.sampled_from([0, -1, 65])
+        pick = {
+            "views": (st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                      st.one_of(st.tuples(side, st.integers(1, 4)),
+                                st.tuples(st.integers(1, 4), side))),
+            "pixels": (st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                       st.sampled_from([(0, 4), (3, -1), (5000, 5000)])),
+            "channels": (st.sampled_from([1, 3]), st.sampled_from([0, 2, 4])),
+            "depths": (st.lists(st.integers(-3, 3), min_size=1, max_size=4,
+                                unique=True).map(sorted),
+                       st.sampled_from([[], [0, 0], [1, 0, -1], [-2, 1, 1]])),
+            "partition": (st.lists(st.integers(1, 3), min_size=1, max_size=3),
+                          st.sampled_from([[], [0], [2, 0], [1, 0, 3]])),
+            "patch": (st.integers(1, 3), st.just(0)),
+            "layer_sizes": (st.lists(st.integers(0, 4), min_size=1, max_size=4),
+                            st.just([])),
+            "quant_bits": (st.integers(2, 16), st.sampled_from([0, 1, 17, 100])),
+        }
+        fields = {name: data.draw(pick[name][name in broken], label=name)
+                  for name in pick}
+        rows, channels = sum(fields["partition"]), fields["channels"]
+        values = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=2 * rows * channels,
+                                    max_size=2 * rows * channels), label="records")
+        records = np.sort(np.reshape(values, (rows, channels, 2)), axis=-1)
+        if "records" in broken:
+            bad = data.draw(st.sampled_from(["shape", np.nan, np.inf, -np.inf, "inverted"]
+                                            if rows and channels else ["shape"]))
+            if bad == "shape":
+                records = np.zeros((rows + 1, channels, 2))
+            else:
+                records[0, 0] = (1.0, 0.0) if bad == "inverted" else (0.0, bad)
+        lossless = data.draw(st.booleans(), label="lossless")
+        lossless &= not {"patch", "layer_sizes"} & broken  # both only bind lossy
+        kwargs = dict(
+            angular_dims=fields["views"], spatial_dims=fields["pixels"],
+            channels=channels, depths=fields["depths"], partition=fields["partition"],
+            patch=fields["patch"], layer_sizes=fields["layer_sizes"],
+            quant_bits=fields["quant_bits"], lossless=lossless, norm_records=records,
+        )
+        if broken:
+            with pytest.raises(ValueError):
+                ContainerHeader(**kwargs)
+            return
+        header = ContainerHeader(**kwargs)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        blob = write_container(header, make_payloads(header, rng))
+        for got in (read_header(blob), read_container(blob).header):
+            for field in dataclasses.fields(ContainerHeader):
+                want, back = getattr(header, field.name), getattr(got, field.name)
+                if field.name == "norm_records":
+                    assert back.dtype == want.dtype and np.array_equal(back, want)
+                else:
+                    assert type(back) is type(want) and back == want
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_mutated_header_field_reads_back_or_is_refused(self, data):
+        """Writing any value into one field of a valid header: read_header
+        either raises ContainerError or returns a header that packs back to
+        exactly the bytes it was read from."""
+        lossless = data.draw(st.booleans(), label="lossless")
+        header = make_header(levels=(1, 2), channels=3, lossless=lossless,
+                             spatial=(5, 3))
+        blob = write_container(header, make_payloads(header, np.random.default_rng(68)))
+        fields = (["4s", "H", "H"]  # magic, version, flags
+                  + ["I"] * 6  # S, T, W, H, C and K
+                  + ["i"] * 3 + ["d"]  # depths and layer bound
+                  + ["I"] * 3  # M and the partition
+                  + ["I"] * 2 + ["I"] * 4  # patch, layer size count and sizes
+                  + ["I"] + ["d"] * header.norm_records.size)  # bits and records
+        offsets = np.cumsum([0] + [struct.calcsize("<" + f) for f in fields])
+        assert offsets[-1] == packed_header_size(header)
+        index = data.draw(st.integers(0, len(fields) - 1), label="field")
+        values = {
+            "4s": st.binary(min_size=4, max_size=4),
+            "H": st.one_of(st.integers(0, 4), st.integers(0, 2**16 - 1)),
+            "I": st.one_of(st.integers(0, 8), st.integers(0, 2**32 - 1)),
+            "i": st.one_of(st.integers(-4, 4), st.integers(-2**31, 2**31 - 1)),
+            "d": st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1 / 3]), st.floats()),
+        }
+        value = data.draw(values[fields[index]], label="value")
+        mutated = bytearray(blob)
+        struct.pack_into("<" + fields[index], mutated, int(offsets[index]), value)
+        try:
+            got = read_header(bytes(mutated))
+        except ContainerError:
+            return
+        packed = bitstream._pack_header(got)
+        assert packed == bytes(mutated[: len(packed)])
 
     def test_header_records_shape_validated(self):
         with pytest.raises(ValueError):

@@ -282,6 +282,9 @@ class TestSweepAndBd:
             assert main(args) == 0
             texts.append(csv_path.read_text())
         assert texts[0] == texts[1]
+        for workers in ("0", "-3"):
+            assert main([*args[:-1], workers]) == DATA_EXIT
+            assert "workers must be >= 1" in capsys.readouterr().err
         with pytest.raises(SystemExit) as info:  # only sweep reads it
             main(["--workers", "2", "sweep", *args[1:-2]])
         assert info.value.code == USAGE_EXIT

@@ -763,6 +763,20 @@ class TestModelIo:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = np.nan
 
+    def test_model_owns_its_arrays(self):
+        rng = np.random.default_rng(41)
+        weights = [rng.normal(0, 0.5, (2, 4)), rng.normal(0, 0.5, (4, 2))]
+        biases = [rng.normal(0, 0.1, 2), rng.normal(0, 0.1, 4)]
+        w, b, c = rng.normal(0, 0.5, (2, 3)), rng.normal(0, 0.1, 3), rng.normal(0, 0.1, 2)
+        ae = Autoencoder(weights=tuple(weights), biases=tuple(biases))
+        params = RbmParams(w=w, b=b, c=c)
+        saved = [a.copy() for a in ae.weights + ae.biases + (params.w, params.b, params.c)]
+        for source in weights + biases + [w, b, c]:
+            source[0] = np.nan  # writes into the caller's arrays only
+        for array, want in zip(ae.weights + ae.biases + (params.w, params.b, params.c),
+                               saved):
+            assert np.array_equal(array, want)
+
 
 class TestDbnConfig:
     def test_bottleneck_ordering_enforced(self):

@@ -281,3 +281,7 @@ class TestRdSweep:
         with pytest.raises(ValueError, match="repeat a quantizer depth"):
             rd_sweep(lf, None, config, qualities=(26, 28))  # both 8 bits
         assert solves == []
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                rd_sweep(lf, None, config, qualities=(10, 26), workers=workers)
+        assert solves == []

@@ -1,5 +1,6 @@
 """End-to-end codec paths: lossless exactness, progressive decode, training."""
 
+import hashlib
 import struct
 import time
 import tracemalloc
@@ -434,6 +435,23 @@ def criterion_10_containers():
         False: (encode_light_field(field, model, config, quant_bits=10).container, model),
         True: (encode_light_field(field, None, config, lossless=True).container, None),
     }
+
+
+class TestGoldenContainers:
+    # Every byte the encoder writes for criterion 10's field and model; a
+    # change to the container format or the encoder's numbers shows here.
+    @pytest.mark.parametrize(
+        "lossless, size, digest",
+        [
+            (False, 222, "ca99d88b9e2b0b349d7fb98f3506a3f8cf6a444c7f7500fe9e7c8bc18f57aced"),
+            (True, 4234, "007cb51efbc7bff407fdee67c9f73e16774173897bcfe33b5ce5f9563b05bbc1"),
+        ],
+        ids=["lossy-q10", "lossless"],
+    )
+    def test_container_bytes(self, criterion_10_containers, lossless, size, digest):
+        container, _ = criterion_10_containers[lossless]
+        assert len(container) == size
+        assert hashlib.sha256(container).hexdigest() == digest
 
 
 class TestCorruption:
