@@ -231,10 +231,11 @@ def entropy_decode(data: bytes, count: int, bits: int) -> np.ndarray:
 class ContainerHeader:
     """Everything global a decoder needs before reading any section. Building
     one raises ValueError unless check_field_size passes, there are layers
-    and levels and no level is empty, the depths strictly increase,
-    check_quant_bits passes, a lossy layout has a patch of at least 1 and at
-    least one layer size, and the normalization records are (N, C, 2),
-    finite and have min <= max."""
+    and levels and no level is empty, the depths strictly increase and fit
+    int32, check_quant_bits passes, the patch and layer sizes fit uint32, a
+    lossy layout has a patch of at least 1, at least one layer size and
+    fewer than 2**32 symbols in each section, and the normalization records
+    are (N, C, 2), finite and have min <= max."""
 
     angular_dims: tuple[int, int]  # (S, T)
     spatial_dims: tuple[int, int]  # (W, H)
@@ -259,11 +260,19 @@ class ContainerHeader:
             raise ValueError("degenerate layer or level structure")
         if any(b <= a for a, b in zip(depths, depths[1:])):
             raise ValueError(f"layer depths {depths} are not strictly increasing")
+        if not -(1 << 31) <= depths[0] <= depths[-1] < 1 << 31:
+            raise ValueError(f"layer depths {depths} do not fit int32")
         check_quant_bits(self.quant_bits)
+        if not all(0 <= size < 1 << 32 for size in (self.patch, *self.layer_sizes)):
+            raise ValueError(
+                f"patch {self.patch} or layer sizes {self.layer_sizes} do not fit uint32"
+            )
         if not self.lossless and (self.patch < 1 or not self.layer_sizes):
             raise ValueError(
                 f"lossy layout patch {self.patch}, layer sizes {self.layer_sizes}"
             )
+        if not self.lossless and _section_symbols(self, max(partition)) >= 1 << 32:
+            raise ValueError("a lossy section holds 2**32 or more symbols")
         shape = (sum(partition), self.channels, 2)
         if records.shape != shape:
             raise ValueError(f"norm records must be {shape}, got {records.shape}")

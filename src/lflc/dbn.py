@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import _unchecked
 from .errors import ModelError
 
 DEFAULT_LAYER_SIZES = (128, 256, 64, 32)
@@ -66,15 +67,6 @@ def _read_only(array) -> np.ndarray:
     copy = np.array(array, dtype=np.float64, order="C")
     copy.flags.writeable = False
     return copy
-
-
-def _unchecked(cls, **fields):
-    """A `cls` model holding `fields` as they are, with no check or copy: the
-    trainers' working model over their flat vector, never handed out."""
-    model = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(model, name, value)
-    return model
 
 
 @dataclass(frozen=True)

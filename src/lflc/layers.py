@@ -14,21 +14,26 @@ projected gradient descent with backtracking.
 Render, adjoint and solver share one geometry per (depths, S, T, H, W),
 built once and memoised by `_geometry`. In each view the mask is the
 intersection of K shifted rectangles, so the geometry keeps the read-only
-mask, its one rectangle per view and a strided read plan per layer. Render
+mask, its one rectangle per view, and a strided read plan per layer for
+render and for the adjoint. Render
 adds each layer once, in layer order, as a copy-free strided view of the
 zero-padded layer, so every sample sums the same terms in the same order as
 a per-view loop would. The solver gathers each candidate's loss over the
-view rectangles, in the order of `x[:, mask]`.
+view rectangles, in the order of `x[:, mask]`. Its candidates are finite
+and clipped to [0, 1/K], so their stacks skip LayerStack's checks; the stack
+it returns is checked.
 
-The adjoint zero-fills the residual outside the mask once and then adds,
-per layer and in view order, one contiguous span of the flattened (H*W)
-plane per view: from the rectangle's first sample to its last, shifted by
-the layer's offset in that view. Each layer pixel sums the same residual
-samples in the same view order as a per-rectangle scatter; the only extra
-terms are the +0.0 of the masked gaps between the rectangle's rows. The
-accumulator starts at +0.0 and, under round-to-nearest, never becomes
--0.0, so adding +0.0 leaves every value it can hold unchanged and the
-result is bit-identical.
+The adjoint copies each channel's residual, inside the mask only, into one
+zeroed buffer of flattened (H*W) view planes, each preceded by a margin of
+zeros as wide as the largest flat shift of a layer lookup. Layer k reads
+view (t, s) back by its flat shift d_k*(a_t*W + a_s), so its reads of all
+views are one strided view of the buffer, and one reduction over the view
+axes, starting at +0.0, adds them in view order. Each layer pixel sums the
+same residual samples in the same view order as a per-rectangle scatter;
+the only extra terms are the +0.0 read outside the mask, in the margins and
+across row ends. The accumulator starts at +0.0 and, under round-to-nearest,
+never becomes -0.0, so adding +0.0 leaves every value it can hold unchanged
+and the result is bit-identical.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._frozen import _unchecked
 from .errors import DataError
 from .lightfield import LightField, angular_offset
 from .pnm import read_pnm, write_pnm
@@ -71,11 +77,14 @@ class LayerStack:
             )
         if any(b <= a for a, b in zip(depths, depths[1:])):
             raise ValueError(f"depths must be strictly increasing, got {depths}")
-        if not np.all(np.isfinite(images)):
-            raise ValueError("layer images contain non-finite samples")
-        bound = 1.0 / len(depths)
-        if images.size and (images.min() < 0.0 or images.max() > bound + 1e-12):
-            raise ValueError(f"layer samples must lie in [0, {bound:.6g}]")
+        if images.size:
+            # NaN and +-inf show in the minimum or the maximum
+            low, high = images.min(), images.max()
+            if not (np.isfinite(low) and np.isfinite(high)):
+                raise ValueError("layer images contain non-finite samples")
+            bound = 1.0 / len(depths)
+            if low < 0.0 or high > bound + 1e-12:
+                raise ValueError(f"layer samples must lie in [0, {bound:.6g}]")
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "depths", depths)
 
@@ -106,19 +115,21 @@ class _Geometry(NamedTuple):
     Built once per key by `_geometry` and shared by render, adjoint and
     solver; its mask is read-only. In each view the mask is one rectangle,
     the intersection of the K layers' in-range windows, so the list of
-    view rectangles holds all of it.
+    view rectangles holds all of it. The views whose mask is not empty form
+    one block around the central view; the adjoint reads only that block.
     """
 
     mask: np.ndarray  # (T, S, H, W) bool: every layer lookup in range
     rects: tuple  # (t, s, top, bottom, left, right) per non-empty view, (t, s) order
-    # per rectangle: (t, s, first, stop), the span of the flattened H*W plane
-    # from its first sample to one past its last
-    spans: tuple
-    shifts: tuple  # per layer, per rectangle: flat offset of the layer's lookup
     pad: tuple[int, int]  # zero margin (rows, cols) around a layer in render
     # per layer: (views t, views s, offset of the first view's window, step
     # per view t, step per view s), counted in samples of a padded layer plane
     reads: tuple
+    views: tuple[slice, slice]  # (t, s) block of the views with a non-empty mask
+    margin: int  # zeros before each flat view plane in the adjoint's buffer
+    # per layer: (offset of the first view's read, step per view t, step per
+    # view s), counted in samples of the adjoint's buffer
+    scatters: tuple
 
 
 @functools.lru_cache(maxsize=32)
@@ -148,14 +159,6 @@ def _geometry(depths: tuple[int, ...], S: int, T: int, H: int, W: int) -> _Geome
     pad_y = min(reach * max(abs(a) for a in offsets_t), H)
     pad_x = min(reach * max(abs(a) for a in offsets_s), W)
     cols = W + 2 * pad_x
-    spans = tuple(
-        (t, s, top * W + left, (bottom - 1) * W + right)
-        for t, s, top, bottom, left, right in rects
-    )
-    shifts = tuple(
-        tuple(d * (offsets_t[t] * W + offsets_s[s]) for t, s, _, _ in spans)
-        for d in depths
-    )
     reads = []
     for d in depths:
         span_t = pad_y // abs(d) if d else T
@@ -164,7 +167,28 @@ def _geometry(depths: tuple[int, ...], S: int, T: int, H: int, W: int) -> _Geome
         s0, s1 = max(0, S // 2 - span_s), min(S, S // 2 + span_s + 1)
         first = (pad_y + d * offsets_t[t0]) * cols + pad_x + d * offsets_s[s0]
         reads.append((slice(t0, t1), slice(s0, s1), first, d * cols, d))
-    return _Geometry(mask, tuple(rects), spans, shifts, (pad_y, pad_x), tuple(reads))
+
+    # The adjoint's buffer holds one flat H*W plane per view of the block,
+    # each after `margin` zeros, and `margin` zeros after the last; layer k
+    # reads view (t, s) back by d*(a_t*W + a_s). The block runs from the
+    # first rectangle's view to the last's, or is empty at the central view.
+    centre = (T // 2, S // 2, T // 2 - 1, S // 2 - 1)
+    t0, s0, t1, s1 = (*rects[0][:2], *rects[-1][:2]) if rects else centre
+    t1, s1 = t1 + 1, s1 + 1
+    margin = max(
+        (abs(d * (offsets_t[t] * W + offsets_s[s])) for d in depths for t, s, *_ in rects),
+        default=0,
+    )
+    plane = H * W + margin
+    scatters = tuple(
+        (margin - d * (offsets_t[t0] * W + offsets_s[s0]), (s1 - s0) * plane - d * W,
+         plane - d)
+        for d in depths
+    )
+    return _Geometry(
+        mask, tuple(rects), (pad_y, pad_x), tuple(reads),
+        (slice(t0, t1), slice(s0, s1)), margin, scatters,
+    )
 
 
 def _rect_copies(rects, buffer: np.ndarray) -> list:
@@ -225,10 +249,10 @@ def adjoint_scatter(residual: np.ndarray, depths) -> np.ndarray:
     geometry; samples outside it count as zero, whatever they hold (NaN and
     inf included).
 
-    Each layer adds one contiguous span of the flattened residual per view,
-    in view order; the masked gaps between a rectangle's rows add +0.0,
-    which leaves the sums bit-identical to a per-rectangle scatter (see the
-    module docstring).
+    Each layer sums all views of the masked residual at once, as one
+    reduction in view order over a strided view of a zero-margined buffer;
+    the samples read outside the mask add +0.0, which leaves the sums
+    bit-identical to a per-rectangle scatter (see the module docstring).
     """
     if residual.ndim != 5:
         raise ValueError(f"residual must be (C, T, S, H, W), got {residual.shape}")
@@ -236,14 +260,27 @@ def adjoint_scatter(residual: np.ndarray, depths) -> np.ndarray:
     depths = tuple(int(d) for d in depths)
     geometry = _geometry(depths, S, T, H, W)
 
-    # Each layer adds the views' spans in view order, the order in which a
-    # scatter of the whole masked field would add its non-zero samples.
-    masked = np.where(geometry.mask, residual, 0.0).reshape(C, T, S, H * W)
-    grad = np.zeros((len(depths), C, H * W), dtype=np.float64)
-    for layer, shifts in zip(grad, geometry.shifts):
-        for (t, s, first, stop), shift in zip(geometry.spans, shifts):
-            span = layer[:, first + shift : stop + shift]
-            span += masked[:, t, s, first:stop]  # in place: no write-back copy
+    views_t, views_s = geometry.views
+    views = (views_t.stop - views_t.start, views_s.stop - views_s.start)
+    margin, plane = geometry.margin, H * W + geometry.margin
+    # Zeros stay wherever the copies below do not write: outside the mask,
+    # in the margins. Built per call, as solves may run on threads.
+    buffer = np.zeros(margin + views[0] * views[1] * plane)
+    planes = buffer[margin:].reshape(*views, plane)[:, :, : H * W].reshape(*views, H, W)
+    mask = geometry.mask[views_t, views_s]
+    grad = np.empty((len(depths), C, H * W), dtype=np.float64)
+    item = buffer.itemsize
+    for c in range(C):
+        np.copyto(planes, residual[c, views_t, views_s], where=mask)
+        for k, (offset, step_t, step_s) in enumerate(geometry.scatters):
+            shifted = np.ndarray(
+                (*views, H * W), buffer=buffer, offset=item * offset,
+                strides=(item * step_t, item * step_s, item),
+            )
+            # Every pixel sums in view order, t then s: the t step is the
+            # larger, so numpy keeps that axis outside. initial=0.0 states
+            # the +0.0 start instead of leaving it to how numpy seeds it.
+            np.add.reduce(shifted, axis=(0, 1), out=grad[k, c], initial=0.0)
     return grad.reshape(len(depths), C, H, W)
 
 
@@ -288,7 +325,9 @@ def optimize_layers(
 
     def render_and_loss(imgs):
         """A candidate's render and half its squared error over the mask."""
-        rendered, _ = render_additive(LayerStack(depths, imgs), (S, T))
+        # clipped finite values already lie in [0, bound]: no re-check
+        stack = _unchecked(LayerStack, depths=depths, images=imgs)
+        rendered, _ = render_additive(stack, (S, T))
         for dest, source in copies:
             dest[...] = rendered[source]
         np.subtract(goal, kept, out=kept)

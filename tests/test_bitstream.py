@@ -640,13 +640,32 @@ class TestContainer:
             {"spatial_dims": (0, 4)},
             {"patch": 0},
             {"layer_sizes": ()},
+            {"depths": (-1, 0, 2**31)},
+            {"depths": (-(2**31) - 1, 0, 1)},
+            {"lossless": True, "patch": 2**32},
+            {"layer_sizes": (2**32,)},
+            {"layer_sizes": (4, 6, 3, -1)},
+            # 2 images x 6 tiles x 2**31: fits uint32 per size, not per section
+            {"layer_sizes": (4, 6, 3, 2**31)},
         ],
         ids=["2-channels", "decreasing-depths", "1-bit", "nan-record",
-             "inverted-record", "0x4-px", "lossy-patch-0", "no-layer-sizes"],
+             "inverted-record", "0x4-px", "lossy-patch-0", "no-layer-sizes",
+             "depth-above-int32", "depth-below-int32", "lossless-patch-2**32",
+             "layer-size-2**32", "negative-layer-size", "section-2**32-symbols"],
     )
     def test_header_the_reader_refuses_cannot_be_built(self, fields):
         with pytest.raises(ValueError):
             dataclasses.replace(make_header(), **fields)
+
+    def test_reader_refuses_a_section_of_2_pow_32_symbols(self):
+        header = make_header()
+        blob = bytearray(write_container(header, make_payloads(
+            header, np.random.default_rng(69))))
+        last_size = blob.index(struct.pack("<4I", 4, 6, 3, 2)) + 12
+        struct.pack_into("<I", blob, last_size, 2**31)
+        for reader in (read_header, read_container):
+            with pytest.raises(ContainerError, match="2\\*\\*32"):
+                reader(bytes(blob))
 
     def test_payload_the_reader_refuses_cannot_be_built(self):
         header = make_header(levels=(1,), lossless=True)
@@ -678,12 +697,13 @@ class TestContainer:
             "channels": (st.sampled_from([1, 3]), st.sampled_from([0, 2, 4])),
             "depths": (st.lists(st.integers(-3, 3), min_size=1, max_size=4,
                                 unique=True).map(sorted),
-                       st.sampled_from([[], [0, 0], [1, 0, -1], [-2, 1, 1]])),
+                       st.sampled_from([[], [0, 0], [1, 0, -1], [-2, 1, 1],
+                                        [-1, 0, 2**31], [-(2**31) - 1, 5]])),
             "partition": (st.lists(st.integers(1, 3), min_size=1, max_size=3),
                           st.sampled_from([[], [0], [2, 0], [1, 0, 3]])),
-            "patch": (st.integers(1, 3), st.just(0)),
+            "patch": (st.integers(1, 3), st.sampled_from([0, 2**32])),
             "layer_sizes": (st.lists(st.integers(0, 4), min_size=1, max_size=4),
-                            st.just([])),
+                            st.sampled_from([[], [2**32], [-1, 2]])),
             "quant_bits": (st.integers(2, 16), st.sampled_from([0, 1, 17, 100])),
         }
         fields = {name: data.draw(pick[name][name in broken], label=name)

@@ -149,6 +149,16 @@ class TestRenderAdditive:
         with pytest.raises(ValueError):
             LayerStack((1, 0, -1), np.zeros((3, 1, 2, 2)))
 
+    @pytest.mark.parametrize("planted", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_refused_before_range(self, planted):
+        images = np.full((3, 1, 2, 2), 0.9)  # out of range too
+        images[1, 0, 1, 0] = planted
+        with pytest.raises(ValueError, match="non-finite"):
+            LayerStack((-1, 0, 1), images)
+
+    def test_empty_stack_accepted(self):
+        assert LayerStack((0, 2), np.zeros((2, 1, 0, 3))).images.size == 0
+
 
 class TestAdjoint:
     def test_inner_product_identity(self):
@@ -192,17 +202,26 @@ class TestAdjoint:
         assert np.all(np.isfinite(grad))
         assert np.array_equal(grad, window_adjoint(zero_filled, mask, depths, (W, H)))
 
+    def test_negative_zero_residual_scatters_to_positive_zero(self):
+        # every sum starts at +0.0, and +0.0 + -0.0 is +0.0
+        depths, (S, T), (H, W) = (-1, 0, 1), (3, 3), (8, 9)
+        _, mask = render_additive(LayerStack(depths, np.zeros((3, 2, H, W))), (S, T))
+        residual = np.where(mask, -0.0, np.nan)[None].repeat(2, axis=0)
+        grad = adjoint_scatter(residual, depths)
+        assert np.all(grad == 0.0) and not np.signbit(grad).any()
+
 
 @settings(max_examples=80, deadline=None)
 @given(
-    depths=st.sets(st.integers(-3, 3), min_size=1, max_size=7).map(sorted),
+    # depths up to 12 shift whole views past images of up to 9 px
+    depths=st.sets(st.integers(-12, 12), min_size=1, max_size=7).map(sorted),
     views=st.tuples(st.integers(1, 7), st.integers(1, 7)),
     size=st.tuples(st.integers(1, 9), st.integers(1, 9)),
     channels=st.sampled_from([1, 3]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_adjoint_equals_window_scatter_everywhere(depths, views, size, channels, seed):
-    # the row-span scatter adds +0.0 over the gaps between a rectangle's rows;
+    # the strided reduction adds +0.0 for every sample read outside the mask;
     # it must still equal the per-window reference bit for bit
     depths, (S, T), (H, W) = tuple(depths), views, size
     zeros = np.zeros((len(depths), channels, H, W))
@@ -268,8 +287,11 @@ class TestSolveGolden:
             # depth 3 on 6 x 6 images shifts layer 1 past the outer views
             (1, (5, 5), (6, 6), (0, 3), 33,
              "a831df604dfd9c94e806d4590173af97ec0dc42c2381a463a76a3c4c76932b91"),
+            # an even 4 x 6 grid: depth -5 shifts 10 and 15 px past 6 x 7 images
+            (3, (4, 6), (6, 7), (-5, 0, 1), 34,
+             "755085427727a81b767f1c02f1df0e0a919abb4a80831d9d9de3cec89fda7e1e"),
         ],
-        ids=["gray", "rgb", "past-whole-views"],
+        ids=["gray", "rgb", "past-whole-views", "even-grid-deep"],
     )
     def test_digests(self, channels, views, size, depths, seed, digest):
         (S, T), (H, W) = views, size
