@@ -13,8 +13,6 @@ import time
 import traceback
 from pathlib import Path
 
-import numpy as np
-
 from . import bitstream, dbn, metrics, pipeline
 from .config import (
     PipelineConfig,
@@ -34,7 +32,7 @@ from .lightfield import (
     read_manifest,
     save_light_field,
 )
-from .pnm import unit_to_image, write_pnm
+from .pnm import write_planes
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -160,9 +158,7 @@ def _cmd_render_view(args) -> int:
     if not 0 <= args.s < S or not 0 <= args.t < T:
         raise DataError(f"view (s={args.s}, t={args.t}) outside {S}x{T} grid")
     rendered, mask = render_additive(stack, (S, T))
-    view = np.clip(rendered[:, args.t, args.s], 0.0, 1.0)
-    pixels = unit_to_image(view[0] if view.shape[0] == 1 else np.moveaxis(view, 0, -1))
-    write_pnm(args.out, pixels)
+    write_planes(args.out, rendered[:, args.t, args.s])
     covered = float(mask[args.t, args.s].mean())
     print(f"rendered view s={args.s} t={args.t} coverage={covered:.3f} -> {args.out}")
     return 0

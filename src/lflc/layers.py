@@ -47,8 +47,13 @@ import numpy as np
 
 from ._frozen import _unchecked
 from .errors import DataError
-from .lightfield import LightField, angular_offset
-from .pnm import read_pnm, write_pnm
+from .lightfield import (
+    LightField,
+    angular_offset,
+    load_light_field,
+    read_manifest,
+    save_light_field,
+)
 
 DEFAULT_DEPTHS = (-1, 0, 1)
 INITIAL_STEP = 1.0  # first trial step of the projected gradient descent
@@ -363,54 +368,34 @@ def optimize_layers(
 
 
 def save_layer_stack(stack: LayerStack, base_dir, bit_depth: int = 8) -> None:
-    """Write one PGM/PPM per layer (scaled by K to span [0, 1]) + sidecar."""
-    from .pnm import unit_to_image
+    """Write the stack as a light field of one row of K views plus `depths.txt`.
 
-    os.makedirs(base_dir, exist_ok=True)
-    K, C, _, _ = stack.images.shape
-    ext = "pgm" if C == 1 else "ppm"
-    names = []
-    for k in range(K):
-        rel = f"layer_{k}.{ext}"
-        scaled = stack.images[k] * K
-        img = scaled[0] if C == 1 else scaled.transpose(1, 2, 0)
-        write_pnm(os.path.join(base_dir, rel), unit_to_image(img, bit_depth))
-        names.append(rel)
-    with open(os.path.join(base_dir, "layers.txt"), "w", encoding="utf-8") as fh:
-        fh.write(f"count {K}\n")
-        fh.write("depths " + " ".join(str(d) for d in stack.depths) + "\n")
-        fh.write(f"bound {stack.bound!r}\n")
-        fh.write(f"bit_depth {bit_depth}\n")
-        for rel in names:
-            fh.write(rel + "\n")
+    View (s=k, t=0) is layer k scaled by K to span [0, 1]; `depths.txt`
+    holds the K depths on one line.
+    """
+    K = stack.layer_count
+    views = np.clip(stack.images * K, 0.0, 1.0).transpose(1, 0, 2, 3)[:, None]
+    save_light_field(LightField(views), base_dir, bit_depth)
+    with open(os.path.join(base_dir, "depths.txt"), "w", encoding="utf-8") as fh:
+        fh.write(" ".join(str(d) for d in stack.depths) + "\n")
 
 
 def load_layer_stack(base_dir) -> LayerStack:
-    """Inverse of save_layer_stack (up to the on-disk bit depth)."""
-    from .pnm import image_to_unit
+    """Inverse of save_layer_stack (up to the on-disk bit depth).
 
-    sidecar = os.path.join(base_dir, "layers.txt")
-    if not os.path.exists(sidecar):
-        raise DataError(f"missing layer sidecar {sidecar}")
-    depths, names, count = None, [], None
-    with open(sidecar, "r", encoding="utf-8") as fh:
-        for line in fh:
-            fields = line.split()
-            if not fields:
-                continue
-            if fields[0] == "count":
-                count = int(fields[1])
-            elif fields[0] == "depths":
-                depths = tuple(int(x) for x in fields[1:])
-            elif fields[0] in ("bound", "bit_depth"):
-                continue
-            else:
-                names.append(fields[0])
-    if count is None or depths is None or len(names) != count:
-        raise DataError(f"malformed layer sidecar {sidecar}")
-    imgs = []
-    for rel in names:
-        pixels = image_to_unit(read_pnm(os.path.join(base_dir, rel)))
-        imgs.append(pixels[None] if pixels.ndim == 2 else pixels.transpose(2, 0, 1))
-    images = np.stack(imgs) / count
-    return LayerStack(depths, np.clip(images, 0.0, 1.0 / count))
+    The layer files pass every check of `load_light_field`, and their grid
+    must be K x 1 for the K depths.
+    """
+    path = os.path.join(base_dir, "depths.txt")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            depths = tuple(int(field) for field in fh.read().split())
+    except (OSError, ValueError) as exc:
+        raise DataError(f"{path}: cannot read layer depths: {exc}") from exc
+    manifest = read_manifest(os.path.join(base_dir, "manifest.txt"))
+    K = len(depths)
+    if manifest.angular_dims != (K, 1):
+        S, T = manifest.angular_dims
+        raise DataError(f"{path}: {K} depths for a {S}x{T} grid of layers (want {K}x1)")
+    images = load_light_field(manifest, base_dir).samples[:, 0].transpose(1, 0, 2, 3)
+    return LayerStack(depths, np.clip(images / K, 0.0, 1.0 / K))

@@ -3,7 +3,10 @@
 A light field is stored as a dense float64 tensor indexed (c, t, s, v, u):
 channel, vertical angular index, horizontal angular index, row, column.
 All samples live in [0, 1]. On disk a light field is a plain-text manifest
-listing one PGM/PPM file per view in row-major (t outer, s inner) order.
+listing one PGM/PPM file per view in row-major (t outer, s inner) order;
+each view file is read and written as (C, H, W) planes by `pnm.read_planes`
+/ `pnm.write_planes`. A saved layer stack is a light field too, one row of
+K views (see `layers.save_layer_stack`).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ManifestError, PnmError
-from .pnm import image_to_unit, read_pnm, unit_to_image, write_pnm
+from .pnm import read_planes, write_planes
 
 
 def angular_offset(s: int, size: int) -> int:
@@ -45,9 +48,11 @@ class LightField:
             raise ValueError(f"channel count must be 1 or 3, got {samples.shape[0]}")
         if min(samples.shape[1:]) < 1:
             raise ValueError(f"degenerate light-field shape {samples.shape}")
-        if not np.all(np.isfinite(samples)):
+        # NaN and +-inf show in the minimum or the maximum
+        low, high = samples.min(), samples.max()
+        if not (np.isfinite(low) and np.isfinite(high)):
             raise ValueError("light field contains non-finite samples")
-        if samples.min() < 0.0 or samples.max() > 1.0:
+        if low < 0.0 or high > 1.0:
             raise ValueError("light field samples must lie in [0, 1]")
         object.__setattr__(self, "samples", samples)
 
@@ -124,37 +129,30 @@ def load_light_field(manifest: Manifest, base_dir) -> LightField:
     must share dimensions, channel count, and the declared bit depth.
     """
     S, T = manifest.angular_dims
-    expect_maxval = (1 << manifest.bit_depth) - 1
-    views = []
-    for rel in manifest.paths:
+    samples = None
+    for index, rel in enumerate(manifest.paths):
         full = os.path.join(base_dir, rel)
         if not os.path.exists(full):
             raise ManifestError(f"missing view file: {full}")
-        pixels = read_pnm(full)
-        channels = 1 if pixels.ndim == 2 else 3
-        maxval = 255 if pixels.dtype == np.uint8 else 65535
-        if channels != manifest.channels:
+        planes, bit_depth = read_planes(full)
+        if planes.shape[0] != manifest.channels:
             raise ManifestError(
-                f"{full}: has {channels} channels, manifest declares {manifest.channels}"
+                f"{full}: has {planes.shape[0]} channels, manifest declares "
+                f"{manifest.channels}"
             )
-        if maxval != expect_maxval:
+        if bit_depth != manifest.bit_depth:
             raise PnmError(
-                f"{full}: maxval {maxval} does not match declared "
+                f"{full}: {bit_depth}-bit samples do not match declared "
                 f"{manifest.bit_depth}-bit depth"
             )
-        views.append(image_to_unit(pixels))
-    first = views[0].shape
-    for rel, img in zip(manifest.paths, views):
-        if img.shape != first:
+        if samples is None:
+            samples = np.empty((manifest.channels, T, S, *planes.shape[1:]))
+        elif planes.shape[1:] != samples.shape[3:]:
             raise ManifestError(
-                f"{rel}: dimensions {img.shape} differ from first view {first}"
+                f"{full}: dimensions {planes.shape[1:]} differ from first view "
+                f"{samples.shape[3:]}"
             )
-    h, w = first[:2]
-    samples = np.empty((manifest.channels, T, S, h, w), dtype=np.float64)
-    for t in range(T):
-        for s in range(S):
-            img = views[t * S + s]
-            samples[:, t, s] = img[None] if img.ndim == 2 else img.transpose(2, 0, 1)
+        samples[:, index // S, index % S] = planes
     return LightField(samples)
 
 
@@ -170,9 +168,7 @@ def save_light_field(lf: LightField, base_dir, bit_depth: int = 8) -> Manifest:
     for t in range(T):
         for s in range(S):
             rel = f"view_{t:02d}_{s:02d}.{ext}"
-            view = lf.samples[:, t, s]
-            img = view[0] if lf.channels == 1 else view.transpose(1, 2, 0)
-            write_pnm(os.path.join(base_dir, rel), unit_to_image(img, bit_depth))
+            write_planes(os.path.join(base_dir, rel), lf.samples[:, t, s], bit_depth)
             paths.append(rel)
     manifest = Manifest((S, T), lf.channels, bit_depth, tuple(paths))
     write_manifest(manifest, os.path.join(base_dir, "manifest.txt"))

@@ -116,8 +116,6 @@ def _level_symbols(
         dbn.encode_patches(model, dbn.tile_patches(image, patch)).ravel()
         for image in unit.reshape(-1, *unit.shape[2:])
     ]
-    if not chunks:
-        return np.empty(0, dtype=np.uint32)
     return bitstream.quantize(np.concatenate(chunks), quant_bits)
 
 

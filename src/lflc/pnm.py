@@ -1,8 +1,10 @@
 """Minimal binary PGM (P5) / PPM (P6) reader and writer.
 
 Only the binary variants with maxval 255 or 65535 are supported; 16-bit
-samples are big-endian as required by the format. Values are returned as
-integer arrays, shape (H, W) for PGM and (H, W, 3) for PPM.
+samples are big-endian as required by the format. `read_pnm` / `write_pnm`
+take integer arrays, (H, W) for PGM and (H, W, 3) for PPM; the rest of the
+codec uses `read_planes` / `write_planes`, which take (C, H, W) samples in
+[0, 1] and own the file layout and the maxval.
 """
 
 from __future__ import annotations
@@ -112,3 +114,22 @@ def unit_to_image(values: np.ndarray, bit_depth: int = 8) -> np.ndarray:
     else:
         raise PnmError(f"unsupported bit depth {bit_depth}")
     return np.clip(np.rint(values * maxval), 0, maxval).astype(dtype)
+
+
+def read_planes(path) -> tuple[np.ndarray, int]:
+    """Read a PGM/PPM file as (C, H, W) float64 samples in [0, 1].
+
+    Returns the samples and the file's bit depth, 8 or 16.
+    """
+    pixels = read_pnm(path)
+    planes = pixels[None] if pixels.ndim == 2 else pixels.transpose(2, 0, 1)
+    return image_to_unit(planes), 8 if pixels.dtype == np.uint8 else 16
+
+
+def write_planes(path, planes: np.ndarray, bit_depth: int = 8) -> None:
+    """Write (C, H, W) samples in [0, 1] as PGM (C = 1) or PPM (C = 3)."""
+    planes = np.asarray(planes)
+    if planes.ndim != 3 or planes.shape[0] not in (1, 3):
+        raise PnmError(f"cannot write planes of shape {planes.shape} as PGM/PPM")
+    image = planes[0] if planes.shape[0] == 1 else planes.transpose(1, 2, 0)
+    write_pnm(path, unit_to_image(image, bit_depth))

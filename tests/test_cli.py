@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_truth_field
+from test_layers import BROKEN_LAYER_DIRS, save_damaged_layers
 from test_pipeline import oversized_layout_container
 from lflc import cli, dbn
 from lflc.bitstream import truncate_container
@@ -212,6 +214,21 @@ class TestLayersAndViews:
         ]
         assert main(args) == DATA_EXIT
         assert renders == []
+
+    @pytest.mark.parametrize("damage", BROKEN_LAYER_DIRS.values(), ids=BROKEN_LAYER_DIRS)
+    def test_render_view_of_broken_layers(self, tmp_path, capsys, damage):
+        layer_dir = tmp_path / "layers"
+        name = save_damaged_layers(layer_dir, damage)
+        args = [
+            "render-view",
+            "--layers", str(layer_dir),
+            "--angular", "3,3",
+            "--s", "1", "--t", "1",
+            "--out", str(tmp_path / "x.pgm"),
+        ]
+        assert main(args) == DATA_EXIT
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "x.pgm").exists()
 
 
 class TestTraining:
@@ -438,3 +455,23 @@ class TestExitCodes:
         code = main(encode_args(workdir, tmp_path / "x.lflc", ["--qp", "26"]))
         assert code == INTERNAL_EXIT
         assert "synthetic failure" in capsys.readouterr().err
+
+
+def readme_command_lines():
+    """The `lflc ...` lines of README's "Command line" code block."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("lflc ")]
+
+
+def test_readme_commands_parse():
+    lines = readme_command_lines()
+    assert lines
+    for line in lines:
+        words = line.split()
+        try:
+            args = cli.build_parser().parse_args(words[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+        assert args.command == words[1]

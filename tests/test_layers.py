@@ -1,6 +1,7 @@
 """Additive layer model: render/adjoint pair and the projected solver."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import centered_depths, random_truth_field
 from lflc import layers
+from lflc.errors import DataError
 from lflc.layers import (
     LayerStack,
     SolverConfig,
@@ -18,7 +20,8 @@ from lflc.layers import (
     render_additive,
     save_layer_stack,
 )
-from lflc.lightfield import LightField, angular_offset, psnr_masked
+from lflc.lightfield import LightField, angular_offset, psnr_masked, read_manifest
+from lflc.pnm import image_to_unit, read_pnm, unit_to_image, write_pnm
 
 
 def naive_render(stack: LayerStack, angular_dims):
@@ -389,7 +392,81 @@ class TestOptimizeLayers:
         assert mask.sum() == 36
 
 
+def _replace_layer(pixels):
+    """Damage: overwrite the second layer file with `pixels`."""
+    def damage(layer_dir):
+        rel = read_manifest(layer_dir / "manifest.txt").paths[1]
+        write_pnm(layer_dir / rel, pixels)
+        return rel
+    return damage
+
+
+def _delete_layer(layer_dir):
+    rel = read_manifest(layer_dir / "manifest.txt").paths[1]
+    (layer_dir / rel).unlink()
+    return rel
+
+
+def _delete_depths(layer_dir):
+    (layer_dir / "depths.txt").unlink()
+    return "depths.txt"
+
+
+def _drop_a_depth(layer_dir):
+    (layer_dir / "depths.txt").write_text("-1 0\n")
+    return "depths.txt"
+
+
+# Each damages a saved 3-layer, 1-channel, 8-bit, 4x5 px stack and returns
+# the name of the file an error must name.
+BROKEN_LAYER_DIRS = {
+    "16-bit-layer": _replace_layer(np.zeros((4, 5), dtype=np.uint16)),
+    "3-channel-layer": _replace_layer(np.zeros((4, 5, 3), dtype=np.uint8)),
+    "other-size": _replace_layer(np.zeros((5, 5), dtype=np.uint8)),
+    "missing-layer": _delete_layer,
+    "missing-depths": _delete_depths,
+    "depth-count": _drop_a_depth,
+}
+
+
+def save_damaged_layers(layer_dir, damage) -> str:
+    stack = LayerStack((-1, 0, 1), np.full((3, 1, 4, 5), 0.2))
+    save_layer_stack(stack, layer_dir)
+    return damage(layer_dir)
+
+
 class TestLayerStackIO:
+    @pytest.mark.parametrize("bit_depth", [8, 16])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("depths", [(0,), (-1, 0, 2)])
+    def test_stores_the_scaled_pixels(self, tmp_path, depths, channels, bit_depth):
+        K = len(depths)
+        rng = np.random.default_rng(20 + 10 * K + channels)
+        images = rng.uniform(0, 1 / K, (K, channels, 4, 5))
+        images[0, 0, 0, 0] = 1 / K + 1e-13  # inside the stack's 1e-12 slack
+        images[-1, -1, -1, -1] = 0.0
+        stack = LayerStack(depths, images)
+        save_layer_stack(stack, tmp_path, bit_depth)
+        manifest = read_manifest(tmp_path / "manifest.txt")
+        assert manifest.angular_dims == (K, 1)
+        assert (tmp_path / "depths.txt").read_text().split() == [str(d) for d in depths]
+        stored = []
+        for k, rel in enumerate(manifest.paths):
+            pixels = read_pnm(tmp_path / rel)
+            planes = pixels[None] if channels == 1 else pixels.transpose(2, 0, 1)
+            np.testing.assert_array_equal(planes, unit_to_image(images[k] * K, bit_depth))
+            stored.append(planes)
+        again = load_layer_stack(tmp_path)
+        expected = np.clip(image_to_unit(np.stack(stored)) / K, 0.0, 1.0 / K)
+        assert again.depths == depths
+        np.testing.assert_array_equal(again.images, expected)
+
+    @pytest.mark.parametrize("damage", BROKEN_LAYER_DIRS.values(), ids=BROKEN_LAYER_DIRS)
+    def test_broken_directory_refused(self, tmp_path, damage):
+        name = save_damaged_layers(tmp_path, damage)
+        with pytest.raises(DataError, match=re.escape(name)):
+            load_layer_stack(tmp_path)
+
     def test_save_load_roundtrip(self, tmp_path):
         rng = np.random.default_rng(18)
         stack = LayerStack((-1, 0, 1), rng.uniform(0, 1 / 3, (3, 1, 8, 8)))

@@ -45,6 +45,18 @@ class TestLightFieldType:
         with pytest.raises(ValueError):
             LightField(samples=np.full((1, 1, 1, 2, 2), 1.5))
 
+    @pytest.mark.parametrize("planted", [np.nan, np.inf, -np.inf, -0.1, 1.1])
+    def test_rejects_bad_sample(self, planted):
+        samples = np.full((1, 2, 2, 2, 3), 0.5)
+        samples[0, 1, 0, 1, 2] = planted
+        if np.isfinite(planted):
+            message = r"must lie in \[0, 1\]"
+        else:  # refused as non-finite although a sample is out of range too
+            samples[0, 0, 1, 0, 0] = 1.5
+            message = "non-finite"
+        with pytest.raises(ValueError, match=message):
+            LightField(samples=samples)
+
     def test_rejects_bad_channel_count(self):
         with pytest.raises(ValueError):
             LightField(samples=np.zeros((2, 1, 1, 2, 2)))

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from lflc.errors import PnmError
-from lflc.pnm import image_to_unit, read_pnm, unit_to_image, write_pnm
+from lflc.pnm import (
+    image_to_unit,
+    read_planes,
+    read_pnm,
+    unit_to_image,
+    write_planes,
+    write_pnm,
+)
 
 
 class TestRoundtrips:
@@ -83,3 +90,24 @@ class TestUnitScaling:
     def test_unit_to_image_clips(self):
         pixels = unit_to_image(np.array([[-0.2, 1.3]]), bit_depth=8)
         np.testing.assert_array_equal(pixels, np.array([[0, 255]], dtype=np.uint8))
+
+
+class TestPlanes:
+    @pytest.mark.parametrize("bit_depth", [8, 16])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_planes_are_the_file_pixels(self, tmp_path, channels, bit_depth):
+        rng = np.random.default_rng(5)
+        planes = rng.random((channels, 3, 4))
+        path = tmp_path / "p.pnm"
+        write_planes(path, planes, bit_depth)
+        pixels = read_pnm(path)
+        layout = pixels[None] if channels == 1 else pixels.transpose(2, 0, 1)
+        np.testing.assert_array_equal(layout, unit_to_image(planes, bit_depth))
+        again, depth = read_planes(path)
+        assert depth == bit_depth
+        np.testing.assert_array_equal(again, image_to_unit(layout))
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (3, 4), (1, 1, 3, 4)])
+    def test_write_refuses_other_layouts(self, tmp_path, shape):
+        with pytest.raises(PnmError):
+            write_planes(tmp_path / "p.pnm", np.zeros(shape))
