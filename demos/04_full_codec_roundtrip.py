@@ -80,18 +80,18 @@ def main():
 
     print("\n  stream            bytes   PSNR (dB)")
     full = decode_light_field(result.container, model)
-    quality = psnr_masked(field, full.light_field, full.mask)
+    quality = psnr_masked(field.samples, full.light_field.samples, full.mask)
     print(f"  full              {total:6d}   {quality:8.2f}")
 
     cut = section_boundaries(result.container)[-2]
     partial = decode_light_field(result.container[:cut], model)
-    quality = psnr_masked(field, partial.light_field, partial.mask)
+    quality = psnr_masked(field.samples, partial.light_field.samples, partial.mask)
     print(f"  level 1 of 2      {cut:6d}   {quality:8.2f}   (truncated prefix)")
 
     for bits in (2, 4, 8):
         res = encode_light_field(field, model, config, quant_bits=bits)
         dec = decode_light_field(res.container, model)
-        quality = psnr_masked(field, dec.light_field, dec.mask)
+        quality = psnr_masked(field.samples, dec.light_field.samples, dec.mask)
         print(f"  Q={bits:2d}             {len(res.container):6d}   {quality:8.2f}")
 
     # same config, same model: containers are byte-identical across runs

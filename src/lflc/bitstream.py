@@ -499,20 +499,17 @@ def _sections(data: bytes, levels: int | None = None):
     return header, spans
 
 
-def read_container(data: bytes, max_level: int | None = None) -> DecodedContainer:
-    """Parse header plus up to max_level sections.
+def read_container(data: bytes) -> DecodedContainer:
+    """Parse the header and every section the bytes hold.
 
     A prefix that ends on a section boundary is a valid shorter container
-    (fewer payloads), a cut inside a section raises TruncatedSectionError
-    with the last complete level, and bytes after the header's last section
-    raise ContainerError. A complete section that fails to parse raises its
-    own DataError, never TruncatedSectionError.
+    (fewer payloads), so the first k levels are read from
+    truncate_container(data, k). A cut inside a section raises
+    TruncatedSectionError with the last complete level, and bytes after the
+    header's last section raise ContainerError. A complete section that
+    fails to parse raises its own DataError, never TruncatedSectionError.
     """
-    header, spans = _sections(data, max_level)
-    if max_level is not None and not 1 <= max_level <= header.level_count:
-        raise ValueError(
-            f"max_level must be in [1, {header.level_count}], got {max_level}"
-        )
+    header, spans = _sections(data)
     if not spans:
         raise TruncatedSectionError(
             "container holds no complete section", last_complete_level=0

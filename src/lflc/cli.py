@@ -11,6 +11,7 @@ import argparse
 import sys
 import time
 import traceback
+from dataclasses import replace
 from pathlib import Path
 
 from . import bitstream, dbn, metrics, pipeline
@@ -99,7 +100,7 @@ def _cmd_encode(args) -> int:
     print(f"bytes={len(result.container)} bpp={bpp:.6f} -> {args.out}")
     if args.verify:
         decoded = pipeline.decode_light_field(result.container, model)
-        quality = psnr_masked(lf, decoded.light_field, decoded.mask)
+        quality = psnr_masked(lf.samples, decoded.light_field.samples, decoded.mask)
         print(f"verify psnr={quality:.4f} dB levels={decoded.levels_used}")
     return 0
 
@@ -107,7 +108,9 @@ def _cmd_encode(args) -> int:
 def _cmd_decode(args) -> int:
     data = Path(args.container).read_bytes()
     model = dbn.load_model(args.model) if args.model else None
-    result = pipeline.decode_light_field(data, model, max_level=args.max_level)
+    if args.max_level is not None:
+        data = bitstream.truncate_container(data, args.max_level)
+    result = pipeline.decode_light_field(data, model)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_light_field(result.light_field, out_dir, bit_depth=args.bit_depth)
@@ -117,7 +120,7 @@ def _cmd_decode(args) -> int:
     )
     if args.original:
         original = _load_field(args.original)
-        overall = psnr_masked(original, result.light_field, result.mask)
+        overall = psnr_masked(original.samples, result.light_field.samples, result.mask)
         print(f"psnr_masked={overall:.4f} dB")
         S, T = original.angular_dims
         for t in range(T):
@@ -192,11 +195,11 @@ def _cmd_sweep(args) -> int:
     config = _config_from(args)
     lf = _load_field(args.manifest)
     model = dbn.load_model(args.model)
-    qualities = None
     if args.qualities:
         qualities = tuple(int(part) for part in args.qualities.split(","))
+        config = replace(config, qualities=qualities)
     _echo_config(config)
-    rows = metrics.rd_sweep(lf, model, config, qualities=qualities, workers=args.workers)
+    rows = metrics.rd_sweep(lf, model, config, workers=args.workers)
     csv_text = metrics.sweep_csv(rows)
     print(csv_text, end="")
     if args.csv:
@@ -260,7 +263,11 @@ def build_parser() -> _Parser:
     p.add_argument("--container", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--model", help="autoencoder model file (lossy containers)")
-    p.add_argument("--max-level", type=int, default=None)
+    p.add_argument(
+        "--max-level", type=int, metavar="K",
+        help="decode the first K sections alone, as if the stream ended after "
+        "them; exits 2 if fewer than K are complete",
+    )
     p.add_argument("--original", help="manifest for a PSNR report")
     p.add_argument("--bit-depth", type=int, default=8, choices=(8, 16))
     p.set_defaults(run=_cmd_decode)
@@ -293,7 +300,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="rate-distortion sweep to CSV")
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--qualities", help="comma-separated QP list")
+    p.add_argument("--qualities", help="comma-separated QP list; replaces sweep.qualities")
     p.add_argument("--csv", help="also write the CSV here")
     p.add_argument("--gnuplot", help="write a gnuplot script here (needs --csv)")
     p.add_argument(

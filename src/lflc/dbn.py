@@ -34,6 +34,7 @@ from ._frozen import _unchecked
 from .errors import ModelError
 
 DEFAULT_LAYER_SIZES = (128, 256, 64, 32)
+INIT_WEIGHT_SCALE = 0.01  # standard deviation of init_rbm's weights
 
 
 def sigmoid(x) -> np.ndarray:
@@ -101,9 +102,9 @@ class RbmParams:
         return self.c.size
 
 
-def init_rbm(n_visible: int, n_hidden: int, rng, scale: float = 0.01) -> RbmParams:
+def init_rbm(n_visible: int, n_hidden: int, rng) -> RbmParams:
     """Small-normal weights, zero biases."""
-    w = scale * rng.standard_normal((n_hidden, n_visible))
+    w = INIT_WEIGHT_SCALE * rng.standard_normal((n_hidden, n_visible))
     return RbmParams(w=w, b=np.zeros(n_visible), c=np.zeros(n_hidden))
 
 

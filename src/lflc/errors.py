@@ -33,9 +33,8 @@ class TruncatedSectionError(ContainerError):
     """Container bytes end inside a level section.
 
     Carries the index of the last level whose section is complete so the
-    caller can fall back to decoding the intact prefix: cut the bytes with
-    truncate_container(data, last_complete_level), or read them with
-    max_level=last_complete_level.
+    caller can fall back to decoding the intact prefix, which
+    truncate_container(data, last_complete_level) cuts.
     """
 
     def __init__(self, message: str, last_complete_level: int):

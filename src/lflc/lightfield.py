@@ -175,37 +175,32 @@ def save_light_field(lf: LightField, base_dir, bit_depth: int = 8) -> Manifest:
     return manifest
 
 
-def _as_samples(x) -> np.ndarray:
-    return x.samples if isinstance(x, LightField) else np.asarray(x)
-
-
-def psnr(a, b) -> float:
+def psnr(a: np.ndarray, b: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB at peak 1; +inf when the inputs are
     identical.
 
-    Accepts LightField or plain arrays of identical shape. The
-    mean squared error averages over every sample including channels.
+    Takes two sample arrays of identical shape (a LightField's `.samples`).
+    The mean squared error averages over every sample including channels.
     """
-    xa, xb = _as_samples(a), _as_samples(b)
-    if xa.shape != xb.shape:
-        raise ValueError(f"shape mismatch {xa.shape} vs {xb.shape}")
-    mse = float(np.mean(np.square(xa - xb)))
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
+    mse = float(np.mean(np.square(a - b)))
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(1.0 / mse)
 
 
-def psnr_masked(a, b, mask: np.ndarray) -> float:
-    """PSNR restricted to samples where `mask` is true.
+def psnr_masked(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> float:
+    """PSNR of two (C, T, S, H, W) sample arrays restricted to samples where
+    `mask` is true.
 
     The mask indexes (t, s, v, u) and is broadcast across channels.
     """
-    xa, xb = _as_samples(a), _as_samples(b)
-    if xa.shape != xb.shape:
-        raise ValueError(f"shape mismatch {xa.shape} vs {xb.shape}")
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
     if not mask.any():
         raise ValueError("validity mask is empty")
-    diff = np.square(xa - xb)[:, mask]
+    diff = np.square(a - b)[:, mask]
     mse = float(diff.mean())
     if mse == 0.0:
         return math.inf

@@ -97,10 +97,10 @@ def rd_sweep(
     lf: LightField,
     model,
     config,
-    qualities=None,
     workers: int = 1,
 ) -> list[tuple[int, RdPoint]]:
-    """Encode/decode the light field at each quality and measure (bpp, PSNR).
+    """Encode/decode the light field at each quality of config.qualities and
+    measure (bpp, PSNR).
 
     The rate is the written container's length. The quality comes from the
     encoder's own level payloads through the decoder's back half
@@ -119,7 +119,7 @@ def rd_sweep(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    qualities = tuple(qualities if qualities is not None else config.qualities)
+    qualities = config.qualities
     if not qualities:
         raise ValueError("quality list is empty")
     bits = {qp: quant_bits_for_qp(qp) for qp in qualities}

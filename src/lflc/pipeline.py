@@ -214,11 +214,10 @@ def _level_from_payload(
 
 
 def decode_light_field(
-    data: bytes,
-    model: dbn.Autoencoder | None = None,
-    max_level: int | None = None,
+    data: bytes, model: dbn.Autoencoder | None = None
 ) -> DecodeResult:
-    """Decode a container (or any section-aligned prefix of one).
+    """Decode a container, or any section-aligned prefix of one: the first
+    k levels decode from bitstream.truncate_container(data, k).
 
     A lossy container's model layout is checked against the header before
     any section is entropy-decoded.
@@ -233,7 +232,7 @@ def decode_light_field(
                 f"model layout (p={patch}, {layer_sizes}) does not match "
                 f"container (p={header.patch}, {header.layer_sizes})"
             )
-    decoded = bitstream.read_container(data, max_level)
+    decoded = bitstream.read_container(data)
     return decode_payloads(header, decoded.payloads, model)
 
 

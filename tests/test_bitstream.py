@@ -328,16 +328,16 @@ class TestContainer:
             assert np.array_equal(sent.basis_raw, back.basis_raw)
             assert back.symbols is None
 
-    def test_max_level_limits_parsing(self):
+    def test_prefix_limits_parsing(self):
         rng = np.random.default_rng(47)
         header = make_header(levels=(2, 1, 1))
         data = write_container(header, make_payloads(header, rng))
-        decoded = read_container(data, max_level=1)
+        decoded = read_container(truncate_container(data, 1))
         assert len(decoded.payloads) == 1
         with pytest.raises(ValueError):
-            read_container(data, max_level=0)
+            truncate_container(data, 0)
         with pytest.raises(ValueError):
-            read_container(data, max_level=4)
+            truncate_container(data, 4)
 
     def test_boundary_truncation_is_a_valid_container(self):
         rng = np.random.default_rng(48)
@@ -551,7 +551,7 @@ class TestContainer:
         with pytest.raises(ContainerError, match="trailing") as info:
             read_container(data + b"junk")
         assert not isinstance(info.value, TruncatedSectionError)
-        assert len(read_container(data + b"junk", max_level=2).payloads) == 2
+        assert len(read_container(truncate_container(data + b"junk", 2)).payloads) == 2
 
     def test_boundary_prefix_is_walked_like_a_container(self):
         rng = np.random.default_rng(62)
@@ -574,7 +574,7 @@ class TestContainer:
         level = info.value.last_complete_level
         assert level == 2
         assert truncate_container(cut, level) == truncate_container(data, 2)
-        assert len(read_container(cut, max_level=level).payloads) == 2
+        assert len(read_container(truncate_container(cut, level)).payloads) == 2
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -614,7 +614,7 @@ class TestContainer:
                 reader(data + suffix)
             assert not isinstance(info.value, TruncatedSectionError)
         if len(levels) > 1:
-            assert len(read_container(data + suffix, max_level=1).payloads) == 1
+            assert len(read_container(truncate_container(data + suffix, 1)).payloads) == 1
 
     def test_payload_count_must_match_partition(self):
         rng = np.random.default_rng(55)

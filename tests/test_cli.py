@@ -154,6 +154,26 @@ class TestEncodeDecode:
         assert main(args) == 0
         assert "decoded levels=1/2" in capsys.readouterr().out
 
+    def test_decode_max_level_past_the_prefix_exits_2(self, workdir, tmp_path, capsys):
+        out = tmp_path / "field.lflc"
+        main(encode_args(workdir, out, ["--qp", "26"]))
+        prefix = tmp_path / "one.lflc"
+        prefix.write_bytes(truncate_container(out.read_bytes(), 1))
+        capsys.readouterr()
+        args = [
+            "decode",
+            "--container", str(prefix),
+            "--model", workdir["model"],
+            "--out-dir", str(tmp_path / "views"),
+            "--max-level", "2",
+        ]
+        assert main(args) == DATA_EXIT
+        assert "[1, 1], got 2" in capsys.readouterr().err
+        assert not (tmp_path / "views").exists()
+        with pytest.raises(SystemExit):
+            main(["decode", "--help"])
+        assert "first K sections" in " ".join(capsys.readouterr().out.split())
+
     def test_decode_truncated_container_is_data_error(self, workdir, tmp_path):
         out = tmp_path / "field.lflc"
         main(encode_args(workdir, out, ["--qp", "26"]))
@@ -282,6 +302,21 @@ class TestSweepAndBd:
         assert saved.splitlines()[0] == "quality,bpp,psnr_db"
         assert len(saved.splitlines()) == 4
         assert "plot" in plot_path.read_text()
+
+    def test_sweep_echoes_the_grid_it_sweeps(self, workdir, tmp_path, capsys):
+        csv_path = tmp_path / "sweep.csv"
+        args = [
+            "sweep",
+            "--manifest", workdir["manifest"],
+            "--model", workdir["model"],
+            "--config", workdir["config"],
+            "--qualities", "10,26,40",
+            "--csv", str(csv_path),
+        ]
+        assert main(args) == 0
+        assert "sweep.qualities=10,26,40\n" in capsys.readouterr().out
+        rows = csv_path.read_text().splitlines()[1:]
+        assert sorted(int(row.split(",")[0]) for row in rows) == [10, 26, 40]
 
     def test_sweep_workers_write_the_same_csv(self, workdir, tmp_path, capsys):
         texts = []

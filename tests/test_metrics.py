@@ -1,5 +1,7 @@
 """Bjontegaard deltas against closed forms and an independent fit oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -198,7 +200,8 @@ class TestReports:
 
 
 def sweep_inputs():
-    """A 3x3-view field, a random 16-6-8-4-2 model and a fast two-level config."""
+    """A 3x3-view field, a random 16-6-8-4-2 model and a fast two-level config
+    that sweeps QP 10, 26 and 40."""
     rng = np.random.default_rng(61)
     lf, _, _ = random_truth_field(
         rng, layer_count=2, height=16, width=16, views=(3, 3)
@@ -216,6 +219,7 @@ def sweep_inputs():
         wbi=WbiConfig(components=2, partition=(1, 1)),
         dbn=DbnConfig(layer_sizes=(6, 8, 4, 2), patch=4),
         depths=centered_depths(2),
+        qualities=(10, 26, 40),
     )
     return lf, model, config
 
@@ -223,8 +227,8 @@ def sweep_inputs():
 class TestRdSweep:
     def test_rows_independent_of_worker_count(self):
         lf, model, config = sweep_inputs()
-        serial = rd_sweep(lf, model, config, qualities=(10, 26, 40), workers=1)
-        threaded = rd_sweep(lf, model, config, qualities=(10, 26, 40), workers=3)
+        serial = rd_sweep(lf, model, config, workers=1)
+        threaded = rd_sweep(lf, model, config, workers=3)
         assert serial == threaded
         rates = [point.rate for _, point in serial]
         assert rates == sorted(rates)
@@ -232,7 +236,7 @@ class TestRdSweep:
     def test_rows_equal_decoding_the_written_containers(self, monkeypatch):
         lf, model, config = sweep_inputs()
         reference = []
-        for qp in (10, 26, 40):
+        for qp in config.qualities:
             bits = quant_bits_for_qp(qp)
             encoded = pipeline.encode_light_field(lf, model, config, quant_bits=bits)
             decoded = pipeline.decode_light_field(encoded.container, model)
@@ -246,7 +250,7 @@ class TestRdSweep:
 
         monkeypatch.setattr(bitstream, "read_container", no_parse)
         for workers in (1, 3):
-            rows = rd_sweep(lf, model, config, qualities=(10, 26, 40), workers=workers)
+            rows = rd_sweep(lf, model, config, workers=workers)
             assert rows == reference
 
     def test_empty_quality_list_rejected(self):
@@ -261,7 +265,7 @@ class TestRdSweep:
             depths=centered_depths(2),
         )
         with pytest.raises(ValueError):
-            rd_sweep(lf, None, config, qualities=())
+            rd_sweep(lf, None, replace(config, qualities=()))
 
     def test_repeated_depth_rejected_before_any_solve(self, monkeypatch):
         rng = np.random.default_rng(64)
@@ -279,9 +283,9 @@ class TestRdSweep:
             metrics.pipeline, "optimize_layers", lambda *a, **k: solves.append(a)
         )
         with pytest.raises(ValueError, match="repeat a quantizer depth"):
-            rd_sweep(lf, None, config, qualities=(26, 28))  # both 8 bits
+            rd_sweep(lf, None, replace(config, qualities=(26, 28)))  # both 8 bits
         assert solves == []
         for workers in (0, -3):
             with pytest.raises(ValueError, match="workers must be >= 1"):
-                rd_sweep(lf, None, config, qualities=(10, 26), workers=workers)
+                rd_sweep(lf, None, replace(config, qualities=(10, 26)), workers=workers)
         assert solves == []

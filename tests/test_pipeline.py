@@ -226,18 +226,6 @@ class TestLossy:
         assert decoded.light_field.samples.min() >= 0.0
         assert decoded.light_field.samples.max() <= 1.0
 
-    def test_progressive_prefix_decodes(self, field):
-        lf, _ = field
-        model = random_model(np.random.default_rng(74))
-        encoded = encode_light_field(lf, model, small_config(), quant_bits=8)
-        short = truncate_container(encoded.container, 1)
-        decoded = decode_light_field(short, model)
-        assert decoded.levels_used == 1
-        limited = decode_light_field(encoded.container, model, max_level=1)
-        np.testing.assert_array_equal(
-            decoded.light_field.samples, limited.light_field.samples
-        )
-
     def test_layer_images_respect_bound(self, field):
         lf, _ = field
         model = random_model(np.random.default_rng(75))
@@ -343,11 +331,6 @@ class TestDecodePayloads:
             decode_payloads(encoded.header, encoded.payloads, model),
             decode_light_field(encoded.container, model),
         )
-        prefix = decode_payloads(encoded.header, encoded.payloads[:1], model)
-        assert prefix.levels_used == 1
-        assert_same_decode(
-            prefix, decode_light_field(encoded.container, model, max_level=1)
-        )
 
     def test_lossless_payloads_decode_like_the_container(self, field):
         lf, _ = field
@@ -359,6 +342,21 @@ class TestDecodePayloads:
             decode_payloads(encoded.header, encoded.payloads, None),
             decode_light_field(encoded.container),
         )
+
+    @pytest.mark.parametrize("lossless", [False, True], ids=["lossy", "lossless"])
+    def test_every_prefix_decodes_like_its_payloads(self, field, lossless):
+        """The prefix rule: the first k sections decode as the first k levels."""
+        lf, _ = field
+        model = None if lossless else random_model(np.random.default_rng(74))
+        for levels in ((1, 1), (2, 1), (1, 1, 1)):
+            encoded = encode_light_field(lf, model, small_config(levels), lossless=lossless)
+            for k in range(1, len(levels) + 1):
+                prefix = truncate_container(encoded.container, k)
+                got = decode_light_field(prefix, model)
+                assert got.levels_used == k
+                assert_same_decode(
+                    got, decode_payloads(encoded.header, encoded.payloads[:k], model)
+                )
 
 
 class TestTrainingPath:
