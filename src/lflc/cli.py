@@ -26,13 +26,7 @@ from .config import (
 )
 from .errors import DataError
 from .layers import load_layer_stack, optimize_layers, render_additive, save_layer_stack
-from .lightfield import (
-    load_light_field,
-    psnr,
-    psnr_masked,
-    read_manifest,
-    save_light_field,
-)
+from .lightfield import load_light_field, psnr, psnr_masked, save_light_field
 from .pnm import write_planes
 
 USAGE_EXIT = 1
@@ -46,11 +40,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
-
-
-def _load_field(manifest_path):
-    manifest = read_manifest(manifest_path)
-    return load_light_field(manifest, Path(manifest_path).parent)
 
 
 def _config_from(args) -> PipelineConfig:
@@ -79,7 +68,7 @@ def _add_config_flags(parser) -> None:
 
 def _cmd_encode(args) -> int:
     config = _config_from(args)
-    lf = _load_field(args.manifest)
+    lf = load_light_field(args.manifest)
     model = dbn.load_model(args.model) if args.model else None
     bits = args.bits if args.qp is None else quant_bits_for_qp(args.qp)
     _echo_config(config)
@@ -119,7 +108,7 @@ def _cmd_decode(args) -> int:
         f"views={result.header.angular_dims[0]}x{result.header.angular_dims[1]} -> {out_dir}"
     )
     if args.original:
-        original = _load_field(args.original)
+        original = load_light_field(args.original)
         overall = psnr_masked(original.samples, result.light_field.samples, result.mask)
         print(f"psnr_masked={overall:.4f} dB")
         S, T = original.angular_dims
@@ -134,7 +123,7 @@ def _cmd_decode(args) -> int:
 
 def _cmd_optimize_layers(args) -> int:
     config = _config_from(args)
-    lf = _load_field(args.manifest)
+    lf = load_light_field(args.manifest)
     _echo_config(config)
     tick = time.perf_counter()
     stack, history = optimize_layers(lf, config.depths, config.solver)
@@ -169,7 +158,7 @@ def _cmd_render_view(args) -> int:
 
 def _cmd_train_dbn(args) -> int:
     config = _config_from(args)
-    lf = _load_field(args.manifest)
+    lf = load_light_field(args.manifest)
     _echo_config(config)
     tick = time.perf_counter()
     if args.from_views:
@@ -193,7 +182,7 @@ def _cmd_train_dbn(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _config_from(args)
-    lf = _load_field(args.manifest)
+    lf = load_light_field(args.manifest)
     model = dbn.load_model(args.model)
     if args.qualities:
         qualities = tuple(int(part) for part in args.qualities.split(","))

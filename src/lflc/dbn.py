@@ -25,6 +25,7 @@ p(h_i=1|v) = logistic(w v + c)_i and p(v_j=1|h) = logistic(w^T h + b)_j.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -191,8 +192,12 @@ class DbnConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.variance_threshold < 0:
-            raise ValueError("variance_threshold must be >= 0")
+        if not 0 <= self.variance_threshold < math.inf:
+            raise ValueError("variance_threshold must be finite and >= 0")
+        if not (math.isfinite(self.learning_rate) and math.isfinite(self.momentum)):
+            raise ValueError("learning_rate and momentum must be finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _minibatches(count: int, batch_size: int, rng) -> list[np.ndarray]:

@@ -39,6 +39,7 @@ and the result is bit-identical.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -47,13 +48,7 @@ import numpy as np
 
 from ._frozen import _unchecked
 from .errors import DataError
-from .lightfield import (
-    LightField,
-    angular_offset,
-    load_light_field,
-    read_manifest,
-    save_light_field,
-)
+from .lightfield import LightField, angular_offset, load_light_field, save_light_field
 
 DEFAULT_DEPTHS = (-1, 0, 1)
 INITIAL_STEP = 1.0  # first trial step of the projected gradient descent
@@ -110,8 +105,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be >= 0")
+        if not 0 <= self.tolerance < math.inf:
+            raise ValueError("tolerance must be finite and >= 0")
 
 
 class _Geometry(NamedTuple):
@@ -383,8 +378,9 @@ def save_layer_stack(stack: LayerStack, base_dir, bit_depth: int = 8) -> None:
 def load_layer_stack(base_dir) -> LayerStack:
     """Inverse of save_layer_stack (up to the on-disk bit depth).
 
-    The layer files pass every check of `load_light_field`, and their grid
-    must be K x 1 for the K depths.
+    Loads `base_dir/manifest.txt` with `load_light_field`, so the layer
+    files pass all its checks, then requires a K x 1 grid for the K depths
+    of `depths.txt`.
     """
     path = os.path.join(base_dir, "depths.txt")
     try:
@@ -392,10 +388,10 @@ def load_layer_stack(base_dir) -> LayerStack:
             depths = tuple(int(field) for field in fh.read().split())
     except (OSError, ValueError) as exc:
         raise DataError(f"{path}: cannot read layer depths: {exc}") from exc
-    manifest = read_manifest(os.path.join(base_dir, "manifest.txt"))
+    views = load_light_field(os.path.join(base_dir, "manifest.txt"))
     K = len(depths)
-    if manifest.angular_dims != (K, 1):
-        S, T = manifest.angular_dims
+    if views.angular_dims != (K, 1):
+        S, T = views.angular_dims
         raise DataError(f"{path}: {K} depths for a {S}x{T} grid of layers (want {K}x1)")
-    images = load_light_field(manifest, base_dir).samples[:, 0].transpose(1, 0, 2, 3)
+    images = views.samples[:, 0].transpose(1, 0, 2, 3)
     return LayerStack(depths, np.clip(images / K, 0.0, 1.0 / K))

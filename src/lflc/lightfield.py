@@ -3,7 +3,9 @@
 A light field is stored as a dense float64 tensor indexed (c, t, s, v, u):
 channel, vertical angular index, horizontal angular index, row, column.
 All samples live in [0, 1]. On disk a light field is a plain-text manifest
-listing one PGM/PPM file per view in row-major (t outer, s inner) order;
+listing one PGM/PPM file per view in row-major (t outer, s inner) order,
+each path relative to the manifest's directory. `load_light_field` takes
+the manifest's path and is the one place that resolves the view paths;
 each view file is read and written as (C, H, W) planes by `pnm.read_planes`
 / `pnm.write_planes`. A saved layer stack is a light field too, one row of
 K views (see `layers.save_layer_stack`).
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -111,7 +114,10 @@ def read_manifest(path) -> Manifest:
         s, t, c, depth = (int(x) for x in head)
     except ValueError as exc:
         raise ManifestError(f"{path}: non-integer header field") from exc
-    return Manifest((s, t), c, depth, tuple(lines[1:]))
+    try:
+        return Manifest((s, t), c, depth, tuple(lines[1:]))
+    except ManifestError as exc:
+        raise ManifestError(f"{path}: {exc}") from None
 
 
 def write_manifest(manifest: Manifest, path) -> None:
@@ -122,12 +128,15 @@ def write_manifest(manifest: Manifest, path) -> None:
             fh.write(rel + "\n")
 
 
-def load_light_field(manifest: Manifest, base_dir) -> LightField:
-    """Load all views named by `manifest`, scaled to [0, 1].
+def load_light_field(manifest_path) -> LightField:
+    """Load the light field a manifest file lists, samples in [0, 1].
 
-    The view listed at line t*S + s lands at angular index (s, t). All files
-    must share dimensions, channel count, and the declared bit depth.
+    View paths are relative to the manifest's directory. The view listed at
+    line t*S + s lands at angular index (s, t). All files must share
+    dimensions, channel count, and the declared bit depth.
     """
+    manifest = read_manifest(manifest_path)
+    base_dir = Path(manifest_path).parent
     S, T = manifest.angular_dims
     samples = None
     for index, rel in enumerate(manifest.paths):
@@ -156,10 +165,11 @@ def load_light_field(manifest: Manifest, base_dir) -> LightField:
     return LightField(samples)
 
 
-def save_light_field(lf: LightField, base_dir, bit_depth: int = 8) -> Manifest:
-    """Write one PGM/PPM per view plus manifest.txt; returns the manifest.
+def save_light_field(lf: LightField, base_dir, bit_depth: int = 8) -> None:
+    """Write one PGM/PPM per view plus the `manifest.txt` that lists them.
 
-    Round-trips bit-exactly for data loaded from sources of the same depth.
+    `load_light_field(base_dir/manifest.txt)` reads it back; the round trip
+    is bit-exact for data loaded from sources of the same depth.
     """
     S, T = lf.angular_dims
     os.makedirs(base_dir, exist_ok=True)
@@ -172,7 +182,6 @@ def save_light_field(lf: LightField, base_dir, bit_depth: int = 8) -> Manifest:
             paths.append(rel)
     manifest = Manifest((S, T), lf.channels, bit_depth, tuple(paths))
     write_manifest(manifest, os.path.join(base_dir, "manifest.txt"))
-    return manifest
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:

@@ -253,12 +253,7 @@ def decode_payloads(
         _level_from_payload(header, payload, index, model)
         for index, payload in enumerate(payloads)
     ]
-    W, H = header.spatial_dims
-    code = wbi.WbiCode(
-        stack_size=header.layer_count,
-        image_shape=(header.channels, H, W),
-        levels=tuple(levels),
-    )
+    code = wbi.WbiCode(levels=tuple(levels))
     images = wbi.decode_levels(code, len(levels))
     images = np.clip(images, 0.0, header.layer_bound)
     stack = LayerStack(header.depths, images)

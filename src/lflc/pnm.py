@@ -1,129 +1,65 @@
-"""Minimal binary PGM (P5) / PPM (P6) reader and writer.
+"""Binary PGM (P5) / PPM (P6) files as (C, H, W) planes in [0, 1].
 
-Only the binary variants with maxval 255 or 65535 are supported; 16-bit
-samples are big-endian as required by the format. `read_pnm` / `write_pnm`
-take integer arrays, (H, W) for PGM and (H, W, 3) for PPM; the rest of the
-codec uses `read_planes` / `write_planes`, which take (C, H, W) samples in
-[0, 1] and own the file layout and the maxval.
+`read_planes` and `write_planes` are the codec's whole image-file layer:
+every view and layer file is C = 1 (PGM) or C = 3 (PPM) planes of float64
+samples in [0, 1]. Files hold 8- or 16-bit samples, maxval 2^depth - 1,
+16-bit samples big-endian as the format requires. Writing clips to [0, 1]
+and rounds to the nearest level, ties to even; reading divides by maxval.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
 from .errors import PnmError
 
 _MAGIC_CHANNELS = {b"P5": 1, b"P6": 3}
+# bit depth -> raster sample type; the file's maxval is 2**depth - 1
+_SAMPLE_TYPE = {8: np.dtype("u1"), 16: np.dtype(">u2")}
+# one header field: whitespace and #-comments (each to the end of its line)
+# skipped, then a token that runs to the next whitespace
+_FIELD = re.compile(rb"(?:\s|#[^\r\n]*(?=[\r\n]|\Z))*([^\s#]\S*)")
 
 
-def _read_header_tokens(data: bytes, count: int) -> tuple[list[int], int]:
-    """Read `count` whitespace-separated integer tokens, skipping # comments.
+def read_planes(path) -> tuple[np.ndarray, int]:
+    """Read a PGM/PPM file as (C, H, W) float64 samples in [0, 1].
 
-    Returns the tokens and the offset of the first raster byte (one
-    whitespace character after the last token, per the PNM convention).
-    """
-    tokens: list[int] = []
-    i = 0
-    while len(tokens) < count:
-        if i >= len(data):
-            raise PnmError("unexpected end of file in header")
-        ch = data[i : i + 1]
-        if ch == b"#":
-            while i < len(data) and data[i : i + 1] not in (b"\n", b"\r"):
-                i += 1
-        elif ch.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(data) and not data[j : j + 1].isspace():
-                j += 1
-            token = data[i:j]
-            if not token.isdigit():
-                raise PnmError(f"bad header token {token!r}")
-            tokens.append(int(token))
-            i = j
-    if i >= len(data) or not data[i : i + 1].isspace():
-        raise PnmError("missing whitespace after header")
-    return tokens, i + 1
-
-
-def read_pnm(path) -> np.ndarray:
-    """Read a binary PGM/PPM file into an integer array.
-
-    Returns uint8 for maxval 255 and uint16 for maxval 65535 (shape (H, W)
-    or (H, W, 3)). The array's `maxval` is recoverable from its dtype.
+    Returns the samples and the file's bit depth, 8 or 16. A bad magic or
+    header, a maxval other than 255 or 65535, and an empty or short raster
+    raise PnmError naming the file.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     magic = data[:2]
     if magic not in _MAGIC_CHANNELS:
         raise PnmError(f"{path}: unsupported magic {magic!r} (want P5 or P6)")
-    channels = _MAGIC_CHANNELS[magic]
-    (width, height, maxval), offset = _read_header_tokens(data[2:], 3)
-    offset += 2
-    if maxval == 255:
-        dtype = np.dtype(np.uint8)
-    elif maxval == 65535:
-        dtype = np.dtype(">u2")
-    else:
+    fields, offset = [], 2
+    for _ in range(3):
+        match = _FIELD.match(data, offset)
+        if match is None:
+            raise PnmError(f"{path}: unexpected end of file in header")
+        if not match[1].isdigit():
+            raise PnmError(f"{path}: bad header token {match[1]!r}")
+        fields.append(int(match[1]))
+        offset = match.end()
+    if not data[offset : offset + 1].isspace():
+        raise PnmError(f"{path}: missing whitespace after header")
+    width, height, maxval = fields
+    depth = maxval.bit_length()
+    if depth not in _SAMPLE_TYPE or maxval != 2**depth - 1:
         raise PnmError(f"{path}: unsupported maxval {maxval} (want 255 or 65535)")
-    count = width * height * channels
-    raster = data[offset : offset + count * dtype.itemsize]
-    if len(raster) != count * dtype.itemsize:
+    if width * height == 0:
+        raise PnmError(f"{path}: empty {width}x{height} raster")
+    channels = _MAGIC_CHANNELS[magic]
+    sample = _SAMPLE_TYPE[depth]
+    size = width * height * channels * sample.itemsize
+    raster = data[offset + 1 : offset + 1 + size]
+    if len(raster) != size:
         raise PnmError(f"{path}: raster shorter than {width}x{height} header promises")
-    pixels = np.frombuffer(raster, dtype=dtype).astype(
-        np.uint8 if maxval == 255 else np.uint16
-    )
-    shape = (height, width) if channels == 1 else (height, width, 3)
-    return pixels.reshape(shape)
-
-
-def write_pnm(path, pixels: np.ndarray) -> None:
-    """Write an integer array as binary PGM (2-D) or PPM ((H, W, 3))."""
-    pixels = np.asarray(pixels)
-    if pixels.ndim == 2:
-        magic = b"P5"
-    elif pixels.ndim == 3 and pixels.shape[2] == 3:
-        magic = b"P6"
-    else:
-        raise PnmError(f"cannot write array of shape {pixels.shape} as PGM/PPM")
-    if pixels.dtype == np.uint8:
-        maxval, out = 255, pixels
-    elif pixels.dtype == np.uint16:
-        maxval, out = 65535, pixels.astype(">u2")
-    else:
-        raise PnmError(f"cannot write dtype {pixels.dtype} (want uint8 or uint16)")
-    height, width = pixels.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(magic + b"\n%d %d\n%d\n" % (width, height, maxval))
-        fh.write(out.tobytes())
-
-
-def image_to_unit(pixels: np.ndarray) -> np.ndarray:
-    """Scale integer samples to float64 in [0, 1] by the dtype's maxval."""
-    maxval = 255 if pixels.dtype == np.uint8 else 65535
-    return pixels.astype(np.float64) / maxval
-
-
-def unit_to_image(values: np.ndarray, bit_depth: int = 8) -> np.ndarray:
-    """Quantize [0, 1] samples back to uint8/uint16 pixels (round-to-nearest)."""
-    if bit_depth == 8:
-        dtype, maxval = np.uint8, 255
-    elif bit_depth == 16:
-        dtype, maxval = np.uint16, 65535
-    else:
-        raise PnmError(f"unsupported bit depth {bit_depth}")
-    return np.clip(np.rint(values * maxval), 0, maxval).astype(dtype)
-
-
-def read_planes(path) -> tuple[np.ndarray, int]:
-    """Read a PGM/PPM file as (C, H, W) float64 samples in [0, 1].
-
-    Returns the samples and the file's bit depth, 8 or 16.
-    """
-    pixels = read_pnm(path)
-    planes = pixels[None] if pixels.ndim == 2 else pixels.transpose(2, 0, 1)
-    return image_to_unit(planes), 8 if pixels.dtype == np.uint8 else 16
+    pixels = np.frombuffer(raster, sample).reshape(height, width, channels)
+    return pixels.transpose(2, 0, 1).astype(np.float64) / maxval, depth
 
 
 def write_planes(path, planes: np.ndarray, bit_depth: int = 8) -> None:
@@ -131,5 +67,11 @@ def write_planes(path, planes: np.ndarray, bit_depth: int = 8) -> None:
     planes = np.asarray(planes)
     if planes.ndim != 3 or planes.shape[0] not in (1, 3):
         raise PnmError(f"cannot write planes of shape {planes.shape} as PGM/PPM")
-    image = planes[0] if planes.shape[0] == 1 else planes.transpose(1, 2, 0)
-    write_pnm(path, unit_to_image(image, bit_depth))
+    if bit_depth not in _SAMPLE_TYPE:
+        raise PnmError(f"unsupported bit depth {bit_depth}")
+    maxval = 2**bit_depth - 1
+    pixels = np.clip(np.rint(planes.transpose(1, 2, 0) * maxval), 0, maxval)
+    channels, height, width = planes.shape
+    with open(path, "wb") as fh:
+        fh.write(b"P%d\n%d %d\n%d\n" % (5 if channels == 1 else 6, width, height, maxval))
+        fh.write(pixels.astype(_SAMPLE_TYPE[bit_depth]).tobytes())

@@ -15,7 +15,7 @@ holding only the first m groups still reconstructs a coherent approximation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +43,8 @@ class WbiConfig:
     def __post_init__(self):
         partition = tuple(int(x) for x in self.partition)
         object.__setattr__(self, "partition", partition)
+        if not partition:
+            raise ValueError("partition must hold at least one group")
         if self.components != sum(partition):
             raise ValueError(
                 f"components ({self.components}) != sum of partition {partition}"
@@ -74,9 +76,7 @@ class WbiLevel:
 class WbiCode:
     """Complete scalable factorization: ordered levels over the component set."""
 
-    stack_size: int  # J
-    image_shape: tuple[int, int, int]  # (C, H, W)
-    levels: tuple[WbiLevel, ...] = field(default_factory=tuple)
+    levels: tuple[WbiLevel, ...]
 
     @property
     def partition(self) -> tuple[int, ...]:
@@ -204,9 +204,7 @@ def encode_scalable(target, config: WbiConfig | None = None) -> WbiCode:
     alternate_minimize(target, components, RIDGE, START_SEED).
     """
     config = config or WbiConfig()
-    stack = _as_stack(target)
-    J, C, H, W = stack.shape
-    residual = stack.copy()
+    residual = _as_stack(target).copy()
     levels = []
     for m, size in enumerate(config.partition):
         codes, basis, history = alternate_minimize(
@@ -215,17 +213,20 @@ def encode_scalable(target, config: WbiConfig | None = None) -> WbiCode:
         level = WbiLevel(codes=codes, basis=basis, residual_history=tuple(history))
         residual -= level.contribution()
         levels.append(level)
-    return WbiCode(stack_size=J, image_shape=(C, H, W), levels=tuple(levels))
+    return WbiCode(levels=tuple(levels))
 
 
 def decode_levels(code: WbiCode, levels_used: int) -> np.ndarray:
-    """Reconstruct the stack from the first `levels_used` levels only."""
+    """Reconstruct the (J, C, H, W) stack from the first `levels_used` levels only.
+
+    J is the code length and (C, H, W) the basis image shape of the levels.
+    """
     if not 1 <= levels_used <= code.level_count:
         raise ValueError(
             f"levels_used must be in [1, {code.level_count}], got {levels_used}"
         )
-    C, H, W = code.image_shape
-    out = np.zeros((code.stack_size, C, H, W), dtype=np.float64)
+    first = code.levels[0]
+    out = np.zeros((first.codes.shape[1], *first.basis.shape[1:]), dtype=np.float64)
     for level in code.levels[:levels_used]:
         out += level.contribution()
     return out

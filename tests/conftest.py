@@ -1,5 +1,8 @@
 """Shared fixtures: synthetic light fields and acceptance-line reporting."""
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -58,3 +61,11 @@ def random_truth_field(
     truth = LayerStack(depths, images)
     samples, mask = render_additive(truth, views)
     return LightField(samples=np.clip(samples, 0.0, 1.0)), mask, truth
+
+
+def sha256_of_files(directory) -> str:
+    """SHA-256 over the files of `directory` in name order: name, NUL, bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(directory).iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()

@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import argparse
+import re
 import time
 from pathlib import Path
 
@@ -281,6 +283,14 @@ class TestTraining:
         model = dbn.load_model(model_path)
         assert model.sizes == (16, 6, 8, 4, 2, 4, 8, 6, 16)
 
+    def test_bad_config_exits_before_the_echo(self, workdir, tmp_path, capsys):
+        model_path = tmp_path / "never.dbn"
+        assert self.train(workdir, model_path, "--set", "dbn.seed=-1") == DATA_EXIT
+        captured = capsys.readouterr()
+        assert "# resolved configuration" not in captured.out
+        assert "seed must be >= 0" in captured.err
+        assert not model_path.exists()
+
 
 class TestSweepAndBd:
     def test_sweep_writes_csv_and_script(self, workdir, tmp_path, capsys):
@@ -510,3 +520,16 @@ def test_readme_commands_parse():
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
         assert args.command == words[1]
+
+
+def test_subcommand_lists_agree():
+    # the module docstring, the parser and README's "Command line" block
+    # name the same subcommands
+    listed = re.search(r"Subcommands: ([^.]*)\.", cli.__doc__)[1]
+    documented = {name.strip() for name in listed.split(",")}
+    (subparsers,) = [
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    in_readme = {line.split()[1] for line in readme_command_lines()}
+    assert documented == set(subparsers.choices) == in_readme

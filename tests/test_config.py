@@ -108,6 +108,35 @@ class TestResolveConfig:
         with pytest.raises(ConfigError):
             resolve_config({"wbi.partition": "3,3"})  # sum != components
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("dbn.seed", "-1"),
+            ("dbn.learning_rate", "nan"),
+            ("dbn.learning_rate", "inf"),
+            ("dbn.momentum", "nan"),
+            ("dbn.momentum", "-inf"),
+            ("dbn.variance_threshold", "nan"),
+            ("dbn.variance_threshold", "inf"),
+            ("solver.tolerance", "nan"),
+            ("solver.tolerance", "inf"),
+        ],
+    )
+    def test_values_that_fail_later_are_refused_up_front(self, key, value):
+        with pytest.raises(ConfigError, match=key.split(".")[1]):
+            resolve_config({key: value})
+
+    def test_benchmark_values_stay_valid(self):
+        for rate, momentum in (("0.1", "0.5"), ("0.05", "0.9")):
+            config = resolve_config({
+                "dbn.seed": "11",
+                "dbn.learning_rate": rate,
+                "dbn.momentum": momentum,
+                "dbn.variance_threshold": "0.0",
+                "solver.tolerance": "0.0",
+            })
+            assert config.dbn.seed == 11 and config.solver.tolerance == 0.0
+
     def test_quantizer_is_not_a_config_key(self):
         # the quantizer is set on the encode call alone
         for key in ("quantizer.bits", "quantizer.lossless"):

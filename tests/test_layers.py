@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import centered_depths, random_truth_field
+from conftest import centered_depths, random_truth_field, sha256_of_files
 from lflc import layers
 from lflc.errors import DataError
 from lflc.layers import (
@@ -21,7 +21,7 @@ from lflc.layers import (
     save_layer_stack,
 )
 from lflc.lightfield import LightField, angular_offset, psnr_masked, read_manifest
-from lflc.pnm import image_to_unit, read_pnm, unit_to_image, write_pnm
+from lflc.pnm import read_planes, write_planes
 
 
 def naive_render(stack: LayerStack, angular_dims):
@@ -392,11 +392,11 @@ class TestOptimizeLayers:
         assert mask.sum() == 36
 
 
-def _replace_layer(pixels):
-    """Damage: overwrite the second layer file with `pixels`."""
+def _replace_layer(planes, bit_depth=8):
+    """Damage: overwrite the second layer file with `planes`."""
     def damage(layer_dir):
         rel = read_manifest(layer_dir / "manifest.txt").paths[1]
-        write_pnm(layer_dir / rel, pixels)
+        write_planes(layer_dir / rel, planes, bit_depth)
         return rel
     return damage
 
@@ -420,9 +420,9 @@ def _drop_a_depth(layer_dir):
 # Each damages a saved 3-layer, 1-channel, 8-bit, 4x5 px stack and returns
 # the name of the file an error must name.
 BROKEN_LAYER_DIRS = {
-    "16-bit-layer": _replace_layer(np.zeros((4, 5), dtype=np.uint16)),
-    "3-channel-layer": _replace_layer(np.zeros((4, 5, 3), dtype=np.uint8)),
-    "other-size": _replace_layer(np.zeros((5, 5), dtype=np.uint8)),
+    "16-bit-layer": _replace_layer(np.zeros((1, 4, 5)), bit_depth=16),
+    "3-channel-layer": _replace_layer(np.zeros((3, 4, 5))),
+    "other-size": _replace_layer(np.zeros((1, 5, 5))),
     "missing-layer": _delete_layer,
     "missing-depths": _delete_depths,
     "depth-count": _drop_a_depth,
@@ -433,6 +433,15 @@ def save_damaged_layers(layer_dir, damage) -> str:
     stack = LayerStack((-1, 0, 1), np.full((3, 1, 4, 5), 0.2))
     save_layer_stack(stack, layer_dir)
     return damage(layer_dir)
+
+
+# sha256_of_files of the directory save_layer_stack writes, per (C, bit depth)
+GOLDEN_LAYER_DIRECTORIES = {
+    (1, 8): "735348d6beae4b219bd73a03d119add03394f7802b90cec94528ce3d6ceaefa7",
+    (1, 16): "973b2c767c80c3d80e2d9187abaee490957e72c3c7b1ca6ab6b922895b639861",
+    (3, 8): "7ca5d3d650c3701e904bdb61a9f578684183ce1e2bcc80d255a635d08fb926b3",
+    (3, 16): "99a9346d157f3c871af91b1da4ed97281597cd0256c815f790e4a8e4bdd288ca",
+}
 
 
 class TestLayerStackIO:
@@ -450,14 +459,16 @@ class TestLayerStackIO:
         manifest = read_manifest(tmp_path / "manifest.txt")
         assert manifest.angular_dims == (K, 1)
         assert (tmp_path / "depths.txt").read_text().split() == [str(d) for d in depths]
+        maxval = 2**bit_depth - 1
         stored = []
         for k, rel in enumerate(manifest.paths):
-            pixels = read_pnm(tmp_path / rel)
-            planes = pixels[None] if channels == 1 else pixels.transpose(2, 0, 1)
-            np.testing.assert_array_equal(planes, unit_to_image(images[k] * K, bit_depth))
+            planes, depth = read_planes(tmp_path / rel)
+            assert depth == bit_depth
+            levels = np.clip(np.rint(images[k] * K * maxval), 0, maxval)
+            np.testing.assert_array_equal(planes, levels / maxval)
             stored.append(planes)
         again = load_layer_stack(tmp_path)
-        expected = np.clip(image_to_unit(np.stack(stored)) / K, 0.0, 1.0 / K)
+        expected = np.clip(np.stack(stored) / K, 0.0, 1.0 / K)
         assert again.depths == depths
         np.testing.assert_array_equal(again.images, expected)
 
@@ -466,6 +477,13 @@ class TestLayerStackIO:
         name = save_damaged_layers(tmp_path, damage)
         with pytest.raises(DataError, match=re.escape(name)):
             load_layer_stack(tmp_path)
+
+    @pytest.mark.parametrize("channels, bit_depth", GOLDEN_LAYER_DIRECTORIES)
+    def test_written_bytes_are_pinned(self, tmp_path, channels, bit_depth):
+        rng = np.random.default_rng(60 + channels + bit_depth)
+        stack = LayerStack((-1, 0, 2), rng.uniform(0, 1 / 3, (3, channels, 4, 5)))
+        save_layer_stack(stack, tmp_path, bit_depth)
+        assert sha256_of_files(tmp_path) == GOLDEN_LAYER_DIRECTORIES[channels, bit_depth]
 
     def test_save_load_roundtrip(self, tmp_path):
         rng = np.random.default_rng(18)

@@ -1,10 +1,12 @@
 """Light-field container, manifest I/O, angular indexing, PSNR."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from conftest import sha256_of_files
 from lflc.errors import ManifestError, PnmError
 from lflc.lightfield import (
     LightField,
@@ -77,7 +79,7 @@ class TestManifestIO:
     def test_wrong_path_count(self, tmp_path):
         path = tmp_path / "manifest.txt"
         path.write_text("2 2 1 8\nonly_one.pgm\n")
-        with pytest.raises(ManifestError):
+        with pytest.raises(ManifestError, match=re.escape(f"{path}: manifest lists 1 files")):
             read_manifest(path)
 
     def test_garbled_header(self, tmp_path):
@@ -87,19 +89,28 @@ class TestManifestIO:
             read_manifest(path)
 
 
+# sha256_of_files of the directory save_light_field writes, per (C, bit depth)
+GOLDEN_DIRECTORIES = {
+    (1, 8): "dee25f08fa199fa07e33f17155139286dbcd364c492dfbbde0326d6f94dd78ca",
+    (1, 16): "a8de9b513676c0add150030f6c398ae7f7082714840680ae84933ff3f26e8adb",
+    (3, 8): "7bb26303be06bbd2464e6eec10893283478c97023dae284c28d651773fa45a87",
+    (3, 16): "54399292c8037300ee8c4eb4a313925dafb74fbde6fba184d1031d502d55f09b",
+}
+
+
 class TestLoadSave:
     def test_save_load_roundtrip_8bit(self, tmp_path):
         rng = np.random.default_rng(5)
         lf = LightField(samples=rng.random((1, 2, 2, 4, 4)))
         save_light_field(lf, tmp_path)
-        again = load_light_field(read_manifest(tmp_path / "manifest.txt"), tmp_path)
+        again = load_light_field(tmp_path / "manifest.txt")
         assert np.max(np.abs(again.samples - lf.samples)) <= 0.5 / 255 + 1e-12
 
     def test_save_load_roundtrip_16bit_color(self, tmp_path):
         rng = np.random.default_rng(6)
         lf = LightField(samples=rng.random((3, 2, 2, 4, 4)))
         save_light_field(lf, tmp_path, bit_depth=16)
-        again = load_light_field(read_manifest(tmp_path / "manifest.txt"), tmp_path)
+        again = load_light_field(tmp_path / "manifest.txt")
         assert again.samples.shape == lf.samples.shape
         assert np.max(np.abs(again.samples - lf.samples)) <= 0.5 / 65535 + 1e-12
 
@@ -110,7 +121,7 @@ class TestLoadSave:
             for s in range(3):
                 samples[0, t, s] = (t * 3 + s) / 255.0
         save_light_field(LightField(samples=samples), tmp_path)
-        again = load_light_field(read_manifest(tmp_path / "manifest.txt"), tmp_path)
+        again = load_light_field(tmp_path / "manifest.txt")
         for t in range(2):
             for s in range(3):
                 np.testing.assert_allclose(
@@ -122,8 +133,8 @@ class TestLoadSave:
         save_light_field(lf, tmp_path)
         manifest = read_manifest(tmp_path / "manifest.txt")
         (tmp_path / manifest.paths[0]).unlink()
-        with pytest.raises(ManifestError):
-            load_light_field(manifest, tmp_path)
+        with pytest.raises(ManifestError, match=re.escape(str(tmp_path / manifest.paths[0]))):
+            load_light_field(tmp_path / "manifest.txt")
 
     def test_bit_depth_mismatch(self, tmp_path):
         lf = LightField(samples=np.zeros((1, 1, 1, 2, 2)))
@@ -135,8 +146,32 @@ class TestLoadSave:
             bit_depth=16,
             paths=manifest.paths,
         )
-        with pytest.raises(PnmError):
-            load_light_field(deep, tmp_path)
+        write_manifest(deep, tmp_path / "manifest.txt")
+        with pytest.raises(PnmError, match=re.escape(str(tmp_path / manifest.paths[0]))):
+            load_light_field(tmp_path / "manifest.txt")
+
+    def test_views_resolve_against_the_manifest_directory(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(8)
+        lf = LightField(samples=rng.random((1, 1, 2, 3, 3)))
+        save_light_field(lf, tmp_path / "field")
+        monkeypatch.chdir(tmp_path)
+        again = load_light_field("field/manifest.txt")
+        np.testing.assert_array_equal(
+            again.samples, load_light_field(tmp_path / "field" / "manifest.txt").samples
+        )
+
+    def test_empty_view_names_its_file(self, tmp_path):
+        save_light_field(LightField(samples=np.zeros((1, 1, 2, 2, 3))), tmp_path)
+        view = tmp_path / read_manifest(tmp_path / "manifest.txt").paths[1]
+        view.write_bytes(b"P5\n0 3\n255\n")
+        with pytest.raises(PnmError, match=re.escape(f"{view}: empty 0x3 raster")):
+            load_light_field(tmp_path / "manifest.txt")
+
+    @pytest.mark.parametrize("channels, bit_depth", GOLDEN_DIRECTORIES)
+    def test_written_bytes_are_pinned(self, tmp_path, channels, bit_depth):
+        rng = np.random.default_rng(50 + channels + bit_depth)
+        save_light_field(LightField(rng.random((channels, 2, 3, 4, 5))), tmp_path, bit_depth)
+        assert sha256_of_files(tmp_path) == GOLDEN_DIRECTORIES[channels, bit_depth]
 
 
 class TestPsnr:

@@ -237,3 +237,8 @@ class TestWbiConfig:
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
             WbiConfig(components=2, partition=(2, 0))
+
+    def test_empty_partition_rejected(self):
+        # zero groups would sum to zero components and fail only at encode
+        with pytest.raises(ValueError, match="at least one group"):
+            WbiConfig(components=0, partition=())
